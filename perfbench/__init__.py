@@ -1,0 +1,1 @@
+"""Repository benchmark: seeded workloads, end-to-end and per-layer metrics."""
