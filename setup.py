@@ -1,9 +1,10 @@
 """Setuptools shim.
 
-The metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works on minimal environments without the
-``wheel`` package (legacy editable installs go through ``setup.py
-develop``).
+The metadata lives in ``pyproject.toml`` (PEP 621, ``src/`` layout,
+version read from ``repro.__version__``).  This file exists so that
+environments without the ``wheel`` package can still install the
+package in development mode with ``python setup.py develop``, which
+needs no wheel build.
 """
 
 from setuptools import setup

@@ -10,7 +10,7 @@ Fig. 8's separation of DAG-construction traffic from consensus traffic.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 
 class TrafficLedger:
@@ -33,6 +33,22 @@ class TrafficLedger:
     def record_message(self, kind: str) -> None:
         """Count one end-to-end message of the given kind."""
         self._messages[kind] += 1
+
+    def record_push(
+        self, kind: str, category: str, sender: int, recipients: Sequence[int], bits: int
+    ) -> None:
+        """Account one one-hop message from ``sender`` to each recipient.
+
+        Equal to ``record_message``/``record_tx``/``record_rx`` per
+        recipient in the given order: the sender's total grows by
+        ``bits × len(recipients)`` at once, which is exact for integer
+        ``bits``.
+        """
+        self._messages[kind] += len(recipients)
+        self._tx[sender][category] += bits * len(recipients)
+        rx = self._rx
+        for node in recipients:
+            rx[node][category] += bits
 
     # -- queries -------------------------------------------------------------
     def tx_bits(self, node: int, categories: Optional[Iterable[str]] = None) -> float:

@@ -5,7 +5,8 @@ vary with distance and congestion, and drop frames.  These models
 compose with :class:`~repro.net.transport.Network`:
 
 * latency models are callables ``(topology, hop_from, hop_to) -> seconds``
-  installed via :func:`install_latency_model`;
+  installed via :func:`install_latency_model` as the network's
+  ``latency_model`` hook;
 * loss models are seeded random drop rules built by
   :func:`random_loss_rule`, installed with ``Network.add_drop_rule``.
 
@@ -64,36 +65,21 @@ def bandwidth_latency(
 def install_latency_model(network: Network, model, size_aware: bool = False) -> None:
     """Replace the network's constant per-hop latency with ``model``.
 
-    Monkey-patches the network's unicast latency computation in a
-    supported way: the network keeps routing and accounting; only the
-    delay calculation changes.
+    The network keeps routing and accounting; only the delay changes.
+    Every route, neighbour pushes included, takes the model's per-hop
+    sum instead of ``per_hop_latency``.  A later call replaces the
+    model.  ``size_aware`` models also receive the message size.
     """
-    original_unicast = network.unicast
+    if size_aware:
+        network.latency_model = model
+        return
 
-    def unicast(message: Message) -> None:
-        # Recompute the route to derive the per-hop latency sum, then
-        # delegate with a temporarily adjusted per-hop latency.
-        try:
-            route = network.routing.path(message.sender, message.recipient)
-        except ValueError:
-            original_unicast(message)
-            return
-        total = 0.0
-        for hop_index in range(len(route) - 1):
-            a, b = route[hop_index], route[hop_index + 1]
-            if size_aware:
-                total += model(network.topology, a, b, message.size_bits)
-            else:
-                total += model(network.topology, a, b)
-        hops = max(1, len(route) - 1)
-        saved = network.per_hop_latency
-        network.per_hop_latency = total / hops
-        try:
-            original_unicast(message)
-        finally:
-            network.per_hop_latency = saved
+    def hop_latency(
+        topology: Topology, hop_from: int, hop_to: int, size_bits: int
+    ) -> float:
+        return model(topology, hop_from, hop_to)
 
-    network.unicast = unicast  # type: ignore[method-assign]
+    network.latency_model = hop_latency
 
 
 def partition_drop_rule(groups: Sequence[Sequence[int]]) -> DropRule:

@@ -68,6 +68,19 @@ class Topology:
             for node, neighbors in self.adjacency.items()
         }
 
+    @cached_property
+    def sorted_neighbors(self) -> Dict[int, Tuple[int, ...]]:
+        """``N(node)`` in ascending id order for every node, built once.
+
+        Neighbour pushes and routing BFS both walk neighbours in id
+        order (the deterministic tie-break); reading the tuple here
+        replaces a ``sorted()`` per push and per BFS step.  Immutable
+        like :attr:`closed_neighborhoods`, so it can never go stale.
+        """
+        return {
+            node: tuple(sorted(neighbors)) for node, neighbors in self.adjacency.items()
+        }
+
     def closed_neighborhood(self, node: int) -> FrozenSet[int]:
         """``N(node) ∪ {node}`` from the precomputed table."""
         return self.closed_neighborhoods[node]

@@ -11,14 +11,22 @@
   is charged transmit bits and every receiving node receive bits, so a
   few central relays accumulate the heavy tails seen in Fig. 8(d).
 
-Messages are delivered after ``hops × per_hop_latency`` simulated time.
-Per-node drop rules model malicious silence, DoS filtering and eclipse
-partitions (§IV-D).
+Messages are delivered after ``hops × per_hop_latency`` simulated time,
+or after the sum of an installed per-hop latency model
+(:mod:`repro.net.linkmodels`).  Per-node drop rules model malicious
+silence, DoS filtering and eclipse partitions (§IV-D).
+
+Neighbour pushes take a fast path while no drop rule is installed: one
+category lookup, one batched ledger call and one scheduled delivery per
+neighbour, with no route walk.  Accounting, ``msg_id`` order and the
+event sequence are those of a per-neighbour :meth:`Network.unicast`
+loop, which is what runs whenever a drop rule is installed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.metrics.collector import TrafficLedger
 from repro.net.messages import Message
@@ -32,6 +40,9 @@ DropRule = Callable[[Message, int, int], bool]
 
 #: Maps a message kind to the ledger category it is accounted under.
 CategoryFn = Callable[[str], str]
+
+#: Seconds one hop takes: ``(topology, hop_from, hop_to, size_bits)``.
+HopLatencyFn = Callable[[Topology, int, int, int], float]
 
 
 def default_category(kind: str) -> str:
@@ -80,10 +91,7 @@ class NodeInterface:
 
     def broadcast_neighbors(self, kind: str, payload: Any, size_bits: int) -> List[Message]:
         """Send ``payload`` to every physical neighbour (digest push)."""
-        messages = []
-        for neighbor in sorted(self.network.topology.neighbors(self.node_id)):
-            messages.append(self.send(neighbor, kind, payload, size_bits))
-        return messages
+        return self.network.broadcast_neighbors(self.node_id, kind, payload, size_bits)
 
     def request(
         self, recipient: int, kind: str, payload: Any, size_bits: int, timeout: float
@@ -139,6 +147,9 @@ class Network:
         self.routing = RoutingTable(topology)
         self.ledger = ledger if ledger is not None else TrafficLedger()
         self.per_hop_latency = per_hop_latency
+        #: When set, replaces ``per_hop_latency`` on every route
+        #: (installed by :func:`repro.net.linkmodels.install_latency_model`).
+        self.latency_model: Optional[HopLatencyFn] = None
         self.category_fn = category_fn
         self.tracer = tracer if tracer is not None else Tracer()
         self._interfaces: Dict[int, NodeInterface] = {}
@@ -183,6 +194,61 @@ class Network:
         return any(rule(message, hop_from, hop_to) for rule in self._drop_rules)
 
     # -- delivery -------------------------------------------------------------
+    def _latency(self, route: Sequence[int], size_bits: int) -> float:
+        """Delivery delay along ``route``.
+
+        ``route`` has at least one hop.  A latency model's per-hop sum is
+        spread evenly over the hops and multiplied back,
+        ``(total / hops) * hops``: the model stands in for
+        ``per_hop_latency`` (and so takes precedence over any
+        :class:`~repro.net.linkmodels.LinkDegradation` delta on it).
+        """
+        hops = len(route) - 1
+        model = self.latency_model
+        if model is None:
+            return self.per_hop_latency * hops
+        total = 0.0
+        for hop_from, hop_to in zip(route, route[1:]):
+            total += model(self.topology, hop_from, hop_to, size_bits)
+        return (total / hops) * hops
+
+    def broadcast_neighbors(
+        self, sender: int, kind: str, payload: Any, size_bits: int
+    ) -> List[Message]:
+        """One message to each physical neighbour of ``sender``, in id order.
+
+        With a drop rule installed every message goes through
+        :meth:`unicast`, so drops are decided and accounted per hop.
+        Otherwise each message is one undroppable hop: the ledger is
+        charged in one batched call and deliveries are scheduled in the
+        same order, at the same times, as the per-message loop would
+        schedule them.  Batching ``bits × degree`` is exact only for
+        integer sizes, so any other size also takes the per-message path.
+        """
+        neighbors = self.topology.sorted_neighbors[sender]
+        per_hop = bool(self._drop_rules) or not isinstance(size_bits, int)
+        if neighbors and not per_hop:
+            self.ledger.record_push(
+                kind, self.category_fn(kind), sender, neighbors, size_bits
+            )
+        sim = self.sim
+        deliver = self._deliver
+        arrival = sim.now + self.per_hop_latency
+        messages = []
+        for neighbor in neighbors:
+            message = Message(
+                sender=sender, recipient=neighbor, kind=kind,
+                payload=payload, size_bits=size_bits,
+            )
+            messages.append(message)
+            if per_hop:
+                self.unicast(message)
+                continue
+            if self.latency_model is not None:
+                arrival = sim.now + self._latency((sender, neighbor), size_bits)
+            sim.call_at(arrival, partial(deliver, message))
+        return messages
+
     def unicast(self, message: Message) -> None:
         """Route ``message`` hop by hop, accounting every transmission.
 
@@ -203,15 +269,16 @@ class Network:
             self.tracer.emit(self.sim.now, "net.unroutable", message.sender,
                              recipient=message.recipient, kind=message.kind)
             return
+        drop_rules = self._drop_rules
         for hop_index in range(len(route) - 1):
             hop_from, hop_to = route[hop_index], route[hop_index + 1]
             self.ledger.record_tx(hop_from, category, message.size_bits)
-            if self._dropped(message, hop_from, hop_to):
+            if drop_rules and self._dropped(message, hop_from, hop_to):
                 self.tracer.emit(self.sim.now, "net.dropped", hop_from,
                                  hop_to=hop_to, kind=message.kind)
                 return
             self.ledger.record_rx(hop_to, category, message.size_bits)
-        latency = self.per_hop_latency * (len(route) - 1)
+        latency = self._latency(route, message.size_bits)
         self.sim.call_in(latency, lambda: self._deliver(message))
 
     def _deliver(self, message: Message) -> None:

@@ -11,8 +11,10 @@ from repro.net.linkmodels import (
     install_latency_model,
     random_loss_rule,
 )
+from repro.net.topology import sequential_geometric_topology
 from repro.net.transport import Network
 from repro.sim.kernel import Simulator
+from repro.sim.rng import RandomStreams
 
 
 @pytest.fixture
@@ -53,6 +55,56 @@ class TestLatencyModels:
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             bandwidth_latency(0)
+
+    def test_neighbor_push_arrives_at_model_latency(self):
+        topology = sequential_geometric_topology(30, streams=RandomStreams(4))
+        network = Network(Simulator(), topology)
+        model = distance_proportional_latency(0.001)
+        install_latency_model(network, model)
+        arrivals = {}
+        for node in topology.node_ids:
+            network.attach(node).on(
+                "digest", lambda m, node=node: arrivals.update({node: network.sim.now})
+            )
+        sender = max(topology.node_ids, key=topology.degree)
+        network.interface(sender).broadcast_neighbors("digest", None, 256)
+        network.sim.run()
+        assert arrivals == {
+            neighbor: model(topology, sender, neighbor)
+            for neighbor in topology.neighbors(sender)
+        }
+        assert len(set(arrivals.values())) > 1
+
+    def test_multi_hop_latency_spreads_the_model_sum(self):
+        topology = sequential_geometric_topology(30, streams=RandomStreams(4))
+        network = Network(Simulator(), topology)
+        model = distance_proportional_latency(0.001)
+        install_latency_model(network, model)
+        far = max(topology.node_ids, key=lambda n: network.hop_count(0, n))
+        route = network.routing.path(0, far)
+        total = 0.0
+        for hop_from, hop_to in zip(route, route[1:]):
+            total += model(topology, hop_from, hop_to)
+        hops = len(route) - 1
+        arrivals = []
+        network.attach(far).on("ping", lambda m: arrivals.append(network.sim.now))
+        network.attach(0).send(far, "ping", None, 10)
+        network.sim.run()
+        assert arrivals == [(total / hops) * hops]
+
+    def test_model_takes_precedence_over_degradation_delta(self, line_topology):
+        from repro.net.linkmodels import LinkDegradation
+
+        network = Network(Simulator(), line_topology, per_hop_latency=0.01)
+        LinkDegradation(network, loss=0.0, extra_latency=0.5)
+        install_latency_model(network, constant_latency(0.002))
+        arrivals = []
+        network.attach(3).on("ping", lambda m: arrivals.append(network.sim.now))
+        network.attach(1).on("digest", lambda m: arrivals.append(network.sim.now))
+        network.attach(0).send(3, "ping", None, 10)
+        network.interface(0).broadcast_neighbors("digest", None, 10)
+        network.sim.run()
+        assert arrivals == [pytest.approx(0.002), pytest.approx(0.006)]
 
     def test_accounting_unchanged_by_model(self, line_topology):
         network = Network(Simulator(), line_topology)
