@@ -32,6 +32,20 @@ class TestRunner:
         assert len(metrics["trace_sha256"]) == 64
         assert metrics["success_rate"] == 1.0
 
+    def test_slot_sim_streams_are_complete(self, tmp_path):
+        from repro.telemetry import parse_stream, parse_trace_stream
+
+        bench_runner.run_benchmarks(
+            fast=True, only=["slot_sim"], telemetry_dir=str(tmp_path),
+            trace_sample=0.25,
+        )
+        (run,) = tmp_path.glob("run-*.jsonl")
+        (trace,) = tmp_path.glob("trace-*.jsonl")
+        assert parse_stream(run.read_text())[-1]["event"] == "run-end"
+        kinds = [r["event"] for r in parse_trace_stream(trace.read_text())]
+        assert kinds[-1] == "trace-end"
+        assert "block-trace" in kinds
+
     def test_slot_sim_faults_row(self):
         results = bench_runner.run_benchmarks(
             fast=True, only=["slot_sim", "slot_sim_faults"]

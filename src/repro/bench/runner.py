@@ -321,8 +321,9 @@ def _micro_benchmarks(
 
 # -- the macro workload -------------------------------------------------------
 
-def _slot_sim_result(spec, wall, events, blocks, validations, success_rate,
-                     trace_sha256, routed=False, cached=False) -> BenchResult:
+def _slot_sim_result(result, wall, routed=False, cached=False) -> BenchResult:
+    """One macro row from a finished run's ``ScenarioResult``."""
+    spec, events, blocks = result.spec, result.events, result.total_blocks
     metrics = {
         "scenario": spec.name,
         "nodes": spec.node_count,
@@ -333,9 +334,9 @@ def _slot_sim_result(spec, wall, events, blocks, validations, success_rate,
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "blocks": blocks,
         "blocks_per_sec": blocks / wall if wall > 0 else 0.0,
-        "validations": validations,
-        "success_rate": success_rate,
-        "trace_sha256": trace_sha256,
+        "validations": result.validations,
+        "success_rate": result.success_rate,
+        "trace_sha256": result.trace_sha256,
     }
     if routed:
         metrics["campaign_routed"] = True
@@ -351,28 +352,25 @@ def _slot_sim_result(spec, wall, events, blocks, validations, success_rate,
     )
 
 
-def _run_slot_sim(fast: bool, spec=None, executor=None, telemetry=None,
-                  spans=None) -> BenchResult:
+def _run_slot_sim(fast: bool, spec=None, executor=None,
+                  observers=()) -> BenchResult:
     """The macro workload, timed.
 
-    Without an executor the workload runs inline (timing only the slot
-    driving, exactly as the committed baselines were recorded).  With
-    one, the run is submitted as a campaign cell — the worker-side wall
-    time additionally covers deployment construction, so compare such
+    Without an executor the workload runs inline, timing
+    ``runner.finish()`` — slot driving plus the drain and result
+    assembly, not deployment construction.  With one, the run is
+    submitted as a campaign cell — the worker-side wall time
+    additionally covers deployment construction, so compare such
     numbers only against baselines recorded the same way.
 
-    ``telemetry`` (a :class:`~repro.telemetry.events.TelemetryRecorder`)
-    records the run's event stream *inside* the timed region — that is
-    deliberate, so ``bench --telemetry`` measures the instrumentation
-    overhead the docs/observability.md budget (< 1.10x) gates.
-    ``spans`` (a :class:`~repro.telemetry.spans.SpanRecorder`) likewise
-    puts the block-lifecycle collectors inside the timed region, so
-    ``bench --telemetry DIR --trace-sample RATE`` measures the tracing
-    budget the same way.  Both are ignored on the executor-routed path
-    (cells run in worker processes).
+    ``observers`` (from :func:`repro.telemetry.run_observers`) record
+    the run's streams *inside* the timed region — that is deliberate,
+    so ``bench --telemetry`` (and ``--trace-sample``) measures the
+    instrumentation overhead the docs/observability.md budgets gate.
+    They are ignored on the executor-routed path (cells run in worker
+    processes).
     """
-    from repro.bench.trace import slot_simulation_trace_digest
-    from repro.scenario import ScenarioRunner, bench_scenario
+    from repro.scenario import ScenarioResult, ScenarioRunner, bench_scenario
 
     if spec is None:
         spec = bench_scenario(fast=fast)
@@ -385,45 +383,23 @@ def _run_slot_sim(fast: bool, spec=None, executor=None, telemetry=None,
             name="bench-slot-sim", cells=(CellSpec(scenario=spec),)
         )
         cell = run_campaign(campaign, executor).cells[0]
-        payload = cell.payload
         return _slot_sim_result(
-            spec,
+            ScenarioResult.from_dict(cell.payload),
             wall=cell.elapsed_s,
-            events=int(payload["events"]),
-            blocks=int(payload["total_blocks"]),
-            validations=int(payload["validations"]),
-            success_rate=float(payload["success_rate"]),
-            trace_sha256=str(payload["trace_sha256"]),
             routed=True,
             cached=cell.cached,
         )
 
-    runner = ScenarioRunner(spec, telemetry=telemetry, spans=spans).build()
-    workload_spec = spec.workload
-
+    runner = ScenarioRunner(spec, observers=observers).build()
     start = time.perf_counter()
-    runner.advance_to(workload_spec.slots)
-    if workload_spec.run_until_quiet:
-        runner.workload.run_until_quiet(max_extra_time=workload_spec.quiet_time)
-    wall = time.perf_counter() - start
-
-    deployment, workload = runner.deployment, runner.workload
-    return _slot_sim_result(
-        spec,
-        wall=wall,
-        events=deployment.sim.processed_count,
-        blocks=workload.total_blocks(),
-        validations=len(workload.validations),
-        success_rate=workload.success_rate(),
-        trace_sha256=slot_simulation_trace_digest(workload),
-    )
+    result = runner.finish()
+    return _slot_sim_result(result, wall=time.perf_counter() - start)
 
 
-def _run_ledger_slot_sim(backend: str, fast: bool, telemetry=None,
-                         spans=None) -> BenchResult:
+def _run_ledger_slot_sim(backend: str, fast: bool, observers=()) -> BenchResult:
     """A baseline backend's macro workload, timed end to end.
 
-    Unlike the 2LDAG macro (which times only slot driving), deployment
+    Unlike the 2LDAG macro (which leaves deployment construction out),
     construction is cheap here, so the whole
     :class:`~repro.scenario.runner.ScenarioRunner` drive is timed —
     build, slots, settle, digest collection.
@@ -432,17 +408,8 @@ def _run_ledger_slot_sim(backend: str, fast: bool, telemetry=None,
 
     spec = ledger_bench_scenario(backend, fast=fast)
     start = time.perf_counter()
-    result = ScenarioRunner(spec, telemetry=telemetry, spans=spans).run()
-    wall = time.perf_counter() - start
-    bench = _slot_sim_result(
-        spec,
-        wall=wall,
-        events=result.events,
-        blocks=result.total_blocks,
-        validations=result.validations,
-        success_rate=result.success_rate,
-        trace_sha256=result.trace_sha256,
-    )
+    result = ScenarioRunner(spec, observers=observers).run()
+    bench = _slot_sim_result(result, wall=time.perf_counter() - start)
     bench.name = f"slot_sim_{backend}"
     bench.metrics["backend"] = backend
     return bench
@@ -473,22 +440,10 @@ def run_benchmarks(
     streams at that sample rate, measuring the tracing budget the same
     way.
     """
+    from repro.telemetry import run_observers
+
     if trace_sample is not None and telemetry_dir is None:
         raise ValueError("trace_sample requires telemetry_dir")
-
-    def _recorder():
-        if telemetry_dir is None:
-            return None
-        from repro.telemetry import TelemetryRecorder
-
-        return TelemetryRecorder(telemetry_dir)
-
-    def _spans():
-        if trace_sample is None:
-            return None
-        from repro.telemetry.spans import SpanRecorder
-
-        return SpanRecorder(telemetry_dir, sample=trace_sample)
 
     min_round_time = 0.005 if fast else 0.1
     rounds = 2 if fast else 5
@@ -501,8 +456,10 @@ def run_benchmarks(
         log(f"{name:<26} {result.ns_per_op:>14,.0f} ns/op "
             f"({result.ops_per_sec:>14,.0f} ops/s)")
     if not only or "slot_sim" in only:
-        result = _run_slot_sim(fast, spec=slot_sim_spec, executor=executor,
-                               telemetry=_recorder(), spans=_spans())
+        result = _run_slot_sim(
+            fast, spec=slot_sim_spec, executor=executor,
+            observers=run_observers(telemetry_dir, trace_sample),
+        )
         results["slot_sim"] = result
         metrics = result.metrics
         log(f"{'slot_sim':<26} {metrics['wall_s']:.3f} s wall, "
@@ -512,8 +469,10 @@ def run_benchmarks(
     if not only or "slot_sim_faults" in only:
         from repro.scenario import fault_bench_scenario
 
-        result = _run_slot_sim(fast, spec=fault_bench_scenario(fast),
-                               telemetry=_recorder(), spans=_spans())
+        result = _run_slot_sim(
+            fast, spec=fault_bench_scenario(fast),
+            observers=run_observers(telemetry_dir, trace_sample),
+        )
         result.name = "slot_sim_faults"
         result.metrics["faulted"] = True
         results["slot_sim_faults"] = result
@@ -526,8 +485,9 @@ def run_benchmarks(
         name = f"slot_sim_{backend}"
         if only and name not in only:
             continue
-        result = _run_ledger_slot_sim(backend, fast, telemetry=_recorder(),
-                                      spans=_spans())
+        result = _run_ledger_slot_sim(
+            backend, fast, observers=run_observers(telemetry_dir, trace_sample)
+        )
         results[name] = result
         metrics = result.metrics
         log(f"{name:<26} {metrics['wall_s']:.3f} s wall, "

@@ -97,21 +97,14 @@ def run_scenario_cell(cell: CellSpec) -> Dict[str, Any]:
     with them on or off — and both truncate their stream on
     ``run_started``, so a chaos-retried cell rewrites cleanly.
     """
-    from repro.telemetry import telemetry_dir_from_env
-    from repro.telemetry.spans import SpanRecorder, trace_sample_from_env
+    from repro.telemetry import (
+        run_observers,
+        telemetry_dir_from_env,
+        trace_sample_from_env,
+    )
 
-    telemetry = None
-    telemetry_dir = telemetry_dir_from_env()
-    if telemetry_dir:
-        from repro.telemetry import TelemetryRecorder
-
-        telemetry = TelemetryRecorder(telemetry_dir)
-    spans = None
-    sample = trace_sample_from_env()
-    if telemetry_dir and sample is not None:
-        spans = SpanRecorder(telemetry_dir, sample=sample)
-    runner = ScenarioRunner(cell.scenario, telemetry=telemetry, spans=spans)
-    return runner.run().to_dict()
+    observers = run_observers(telemetry_dir_from_env(), trace_sample_from_env())
+    return ScenarioRunner(cell.scenario, observers=observers).run().to_dict()
 
 
 def run_scenario_cells(

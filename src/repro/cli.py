@@ -238,42 +238,31 @@ def _telemetry_dir(args) -> Optional[str]:
 
 def _trace_sample(args) -> Optional[float]:
     """The block-trace sample rate in effect: ``--trace-sample`` or env."""
-    from repro.telemetry.spans import trace_sample_from_env
+    from repro.telemetry import effective_trace_sample, trace_sample_from_env
 
     rate = getattr(args, "trace_sample", None)
     if rate is not None:
-        return min(float(rate), 1.0) if rate > 0 else None
+        return effective_trace_sample(rate)
     return trace_sample_from_env()
 
 
 def cmd_simulate(args) -> int:
     """Run a scenario's slot workload; print its summary and trace digest."""
+    from repro.telemetry import run_observers
+
     spec = _scenario_spec(args, validate=args.validate, run_until_quiet=True)
-    telemetry = None
     telemetry_dir = _telemetry_dir(args)
-    if telemetry_dir:
-        from repro.telemetry import TelemetryRecorder
-
-        telemetry = TelemetryRecorder(telemetry_dir)
-    spans = None
     sample = _trace_sample(args)
-    if sample is not None:
-        if not telemetry_dir:
-            print("--trace-sample needs a telemetry directory "
-                  "(--telemetry or $REPRO_TELEMETRY)", file=sys.stderr)
-            return 2
-        from repro.telemetry.spans import SpanRecorder
-
-        spans = SpanRecorder(telemetry_dir, sample=sample)
-    runner = ScenarioRunner(spec, telemetry=telemetry, spans=spans)
+    if sample is not None and not telemetry_dir:
+        print("--trace-sample needs a telemetry directory "
+              "(--telemetry or $REPRO_TELEMETRY)", file=sys.stderr)
+        return 2
+    observers = run_observers(telemetry_dir, sample)
+    runner = ScenarioRunner(spec, observers=observers)
     result = runner.run()
     print(result.summary())
-    if telemetry is not None:
-        print(f"telemetry stream: {telemetry.path} "
-              f"({telemetry.records_written} record(s))")
-    if spans is not None:
-        print(f"trace stream: {spans.path} "
-              f"({spans.blocks_traced} block(s) traced at sample {sample:g})")
+    for recorder in observers:
+        print(recorder.summary())
     if runner.fault_engine is not None:
         applied = runner.fault_engine.applied
         print(f"faults applied: {len(applied)} event(s)")
@@ -651,6 +640,7 @@ def cmd_bench(args) -> int:
     import json
 
     from repro.bench import runner as bench_runner
+    from repro.telemetry import effective_trace_sample
 
     unknown = sorted(set(args.only) - set(bench_runner.TRACKED_OPS))
     if unknown:
@@ -662,14 +652,10 @@ def cmd_bench(args) -> int:
     slot_sim_spec = _load_scenario(args.scenario) if args.scenario else None
     # Explicit flags only (no env fallback), matching --telemetry: an
     # ambient sample rate must never skew bench timings.
-    trace_sample = getattr(args, "trace_sample", None)
-    if trace_sample is not None and trace_sample <= 0:
-        trace_sample = None
-    if trace_sample is not None:
-        trace_sample = min(float(trace_sample), 1.0)
-        if getattr(args, "telemetry", None) is None:
-            print("--trace-sample needs --telemetry DIR", file=sys.stderr)
-            return 2
+    trace_sample = effective_trace_sample(getattr(args, "trace_sample", None))
+    if trace_sample is not None and getattr(args, "telemetry", None) is None:
+        print("--trace-sample needs --telemetry DIR", file=sys.stderr)
+        return 2
     results = bench_runner.run_benchmarks(
         fast=fast, only=args.only or None, log=print,
         slot_sim_spec=slot_sim_spec,
@@ -742,11 +728,10 @@ def cmd_telemetry(args) -> int:
         discover_streams,
         export_prometheus,
         format_summary_table,
+        is_trace_stream,
+        schema_for,
         summarize_streams,
-        validate_stream,
     )
-
-    from repro.telemetry.spans import is_trace_stream, validate_trace_stream
 
     paths = _telemetry_paths(args)
     if args.action == "validate":
@@ -762,11 +747,8 @@ def cmd_telemetry(args) -> int:
             text = stream.read_text()
             # Trace streams carry the v2 span schema; everything else
             # is a v1 per-slot stream.  Validate each against its own.
-            if is_trace_stream(stream):
-                traces += 1
-                errors.extend(validate_trace_stream(text, source=str(stream)))
-            else:
-                errors.extend(validate_stream(text, source=str(stream)))
+            traces += is_trace_stream(stream)
+            errors.extend(schema_for(stream).validate(text, source=str(stream)))
             records += sum(1 for line in text.splitlines() if line.strip())
         for message in errors:
             print(message, file=sys.stderr)

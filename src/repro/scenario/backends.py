@@ -151,7 +151,6 @@ class LedgerBackend(ABC):
         self.streams: Optional[RandomStreams] = None
         self._partition_rule = None
         self._degradation: Optional[LinkDegradation] = None
-        self._span_collector = None
 
     # -- fault hooks --------------------------------------------------------
     def apply_fault(self, event: FaultEvent) -> None:
@@ -271,49 +270,21 @@ class LedgerBackend(ABC):
         return 0.0
 
     # -- block-lifecycle tracing (pure observation) -------------------------
-    def enable_block_tracing(self, sample_rate: float) -> None:
-        """Attach a span collector to the deployment's tracer.
+    def span_collector(self, sample_rate: float):
+        """A :class:`~repro.telemetry.spans.SpanCollector` attached to the
+        deployment's tracer, sampling blocks at ``sample_rate``.
 
-        Must be called after :meth:`build` and before any slots are
-        driven.  Like :meth:`telemetry_counters` this is strictly
-        read-side: collectors subscribe to emissions the deployment
-        already makes, never draw from existing random streams, and
-        never schedule events — so seeded trace digests stay
-        byte-identical with tracing on or off (the determinism no-op
-        contract, pinned per backend).  Idempotent.
+        Called after :meth:`build` and before any slots are driven.
+        Like :meth:`telemetry_counters` this is strictly read-side:
+        collectors subscribe to emissions the deployment already makes,
+        never draw from existing random streams, and never schedule
+        events — so seeded trace digests stay byte-identical with
+        tracing on or off (the determinism no-op contract, pinned per
+        backend).
         """
-        if self._span_collector is not None:
-            return
-        collector = self._make_span_collector(sample_rate)
-        collector.attach(self._trace_tracer())
-        self._span_collector = collector
-
-    def _make_span_collector(self, sample_rate: float):
-        """The backend-specific :class:`~repro.telemetry.spans.SpanCollector`."""
         raise NotImplementedError(
             f"the {self.name} backend does not support block tracing"
         )
-
-    def _trace_tracer(self):
-        """The deployment :class:`~repro.sim.tracing.Tracer` to subscribe to."""
-        raise NotImplementedError(
-            f"the {self.name} backend does not support block tracing"
-        )
-
-    def trace_block_events(self) -> List[Dict[str, object]]:
-        """Every sampled block's finished span tree (pure drain).
-
-        Empty when tracing was never enabled, so callers need no
-        enabled-state branching.
-        """
-        if self._span_collector is None:
-            return []
-        return self._span_collector.block_traces()
-
-    def trace_fault(self, event: FaultEvent, slot: int) -> None:
-        """Annotate open traces with an applied fault (observer hook)."""
-        if self._span_collector is not None:
-            self._span_collector.fault_applied(event, slot, self.current_time())
 
 
 #: name -> backend class.
@@ -503,13 +474,12 @@ class TwoLayerDagBackend(LedgerBackend):
     def current_time(self) -> float:
         return float(self.deployment.sim.now)
 
-    def _make_span_collector(self, sample_rate: float):
+    def span_collector(self, sample_rate: float):
         from repro.telemetry.spans import DagSpanCollector
 
-        return DagSpanCollector(self.spec.seed, sample_rate)
-
-    def _trace_tracer(self):
-        return self.deployment.tracer
+        return DagSpanCollector(self.spec.seed, sample_rate).attach(
+            self.deployment.tracer
+        )
 
     # -- faults ------------------------------------------------------------
     # (the crash/rejoin bodies are the original churn hooks verbatim,
@@ -651,7 +621,7 @@ class PbftBackend(LedgerBackend):
     def current_time(self) -> float:
         return float(self.cluster.sim.now)
 
-    def _make_span_collector(self, sample_rate: float):
+    def span_collector(self, sample_rate: float):
         from repro.telemetry.spans import PbftSpanCollector
 
         # Confirmation = the (2f+1)-th replica executing the request;
@@ -659,10 +629,7 @@ class PbftBackend(LedgerBackend):
         any_replica = next(iter(self.cluster.replicas.values()))
         return PbftSpanCollector(
             self.spec.seed, sample_rate, quorum=2 * any_replica.f + 1
-        )
-
-    def _trace_tracer(self):
-        return self.cluster.network.tracer
+        ).attach(self.cluster.network.tracer)
 
 
 @register_backend
@@ -775,10 +742,9 @@ class IotaBackend(LedgerBackend):
     def current_time(self) -> float:
         return float(self.network.sim.now)
 
-    def _make_span_collector(self, sample_rate: float):
+    def span_collector(self, sample_rate: float):
         from repro.telemetry.spans import IotaSpanCollector
 
-        return IotaSpanCollector(self.spec.seed, sample_rate)
-
-    def _trace_tracer(self):
-        return self.network.network.tracer
+        return IotaSpanCollector(self.spec.seed, sample_rate).attach(
+            self.network.network.tracer
+        )

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.faults.engine import FaultEngine
 from repro.metrics.reporting import format_series_table
@@ -53,6 +53,9 @@ from repro.scenario.backends import (  # noqa: F401  (re-exported API)
     register_backend,
 )
 from repro.scenario.spec import ScenarioSpec
+
+if TYPE_CHECKING:
+    from repro.telemetry.stream import RunObserver
 
 #: The series every backend samples, in canonical order.
 SERIES_KEYS = (
@@ -170,7 +173,9 @@ class ScenarioRunner:
     backends.
     """
 
-    def __init__(self, spec: ScenarioSpec, telemetry=None, spans=None) -> None:
+    def __init__(
+        self, spec: ScenarioSpec, observers: Sequence[RunObserver] = ()
+    ) -> None:
         self.spec = spec
         self.backend: Optional[LedgerBackend] = None
         self.deployment = None
@@ -179,17 +184,11 @@ class ScenarioRunner:
         self.behaviors: Dict[int, object] = {}
         self.sybil_identities: List[object] = []
         self.fault_engine: Optional[FaultEngine] = None
-        #: Optional :class:`~repro.telemetry.events.TelemetryRecorder`.
-        #: Strictly write-only observation: every value handed to it is
-        #: a pure read the runner performs anyway (or an extra pure
-        #: read), and it never changes which slot boundaries are driven
-        #: — so traces are byte-identical with telemetry on or off.
-        self.telemetry = telemetry
-        #: Optional :class:`~repro.telemetry.spans.SpanRecorder` — the
-        #: block-lifecycle tracing twin, bound by the same no-op
-        #: contract (collectors subscribe to existing tracer emissions
-        #: and never touch simulation state).
-        self.spans = spans
+        #: :class:`~repro.telemetry.stream.RunObserver` hooks, walked in
+        #: order.  Strictly write-only observation: observers make pure
+        #: reads of the backend and never change which slot boundaries
+        #: are driven — so traces are byte-identical with or without.
+        self.observers = tuple(observers)
         self._next_slot = 0
         self._sampled: Dict[int, Dict[str, float]] = {}
 
@@ -206,31 +205,19 @@ class ScenarioRunner:
         self.workload = getattr(backend, "workload", None)
         self.behaviors = getattr(backend, "behaviors", {})
         self.sybil_identities = getattr(backend, "sybil_identities", [])
-        if self.spans is not None:
-            backend.enable_block_tracing(self.spans.sample)
         schedule = self.spec.workload.fault_schedule()
         if schedule is not None:
-            observers = []
-            if self.telemetry is not None:
-                observers.append(self.telemetry.fault_applied)
-            if self.spans is not None:
-                observers.append(self._spans_fault_applied)
-            observer = None
-            if observers:
-                def observer(event, slot, _observers=tuple(observers)):
-                    for callback in _observers:
-                        callback(event, slot)
-            self.fault_engine = FaultEngine(schedule, backend, observer=observer)
-        if self.telemetry is not None:
-            self.telemetry.run_started(self.spec)
-        if self.spans is not None:
-            self.spans.run_started(self.spec)
+            self.fault_engine = FaultEngine(
+                schedule, backend,
+                observer=self._fault_applied if self.observers else None,
+            )
+        for observer in self.observers:
+            observer.run_started(self.spec, backend)
         return self
 
-    def _spans_fault_applied(self, event, slot: int) -> None:
-        """Fault observer leg for span tracing: annotate + record."""
-        self.backend.trace_fault(event, slot)
-        self.spans.fault_applied(event, slot, self.backend.current_time())
+    def _fault_applied(self, event, slot: int) -> None:
+        for observer in self.observers:
+            observer.fault_applied(event, slot, self.backend)
 
     # -- driving -----------------------------------------------------------
     def _boundaries_until(self, target: int) -> List[int]:
@@ -267,27 +254,16 @@ class ScenarioRunner:
             if self.fault_engine is not None:
                 self.fault_engine.apply_due(self._next_slot)
             advanced = stop - self._next_slot
-            if advanced > 0:
-                self.backend.advance_slots(self._next_slot, advanced)
-                self._next_slot = stop
+            self.backend.advance_slots(self._next_slot, advanced)
+            self._next_slot = stop
             if stop in self.spec.workload.sample_slots:
                 self._sampled[stop] = self.backend.sample()
-            if self.telemetry is not None and advanced > 0:
-                # Boundary-granular by design: emitting per individual
-                # slot would change the chunking some backends observe
-                # (PBFT settles per driven chunk) and break the
-                # telemetry-off byte-identity contract.  Every read
-                # below is pure.
-                series = self._sampled.get(stop)
-                if series is None:
-                    series = self.backend.sample()
-                self.telemetry.slot_advanced(
-                    slot=stop,
-                    slots_covered=advanced,
-                    sim_now=self.backend.current_time(),
-                    series=series,
-                    counters=self.backend.telemetry_counters(),
-                )
+            # Boundary-granular by design: notifying per individual slot
+            # would change the chunking some backends observe (PBFT
+            # settles per driven chunk) and break the observer-off
+            # byte-identity contract.
+            for observer in self.observers:
+                observer.slot_advanced(stop, advanced, self.backend)
         return self
 
     def finish(self) -> ScenarioResult:
@@ -325,18 +301,8 @@ class ScenarioRunner:
             sim_now=metrics.sim_now,
             trace_sha256=self.backend.trace_digest(),
         )
-        if self.telemetry is not None:
-            self.telemetry.run_finished(
-                slot=workload_spec.slots,
-                sim_now=result.sim_now,
-                blocks=result.total_blocks,
-                validations=result.validations,
-                success_rate=result.success_rate,
-                events=result.events,
-                trace_sha256=result.trace_sha256,
-            )
-        if self.spans is not None:
-            self.spans.run_finished(self.backend.trace_block_events())
+        for observer in self.observers:
+            observer.run_finished(result, self.backend)
         return result
 
     def run(self) -> ScenarioResult:
@@ -344,6 +310,8 @@ class ScenarioRunner:
         return self.finish()
 
 
-def run_scenario(spec: ScenarioSpec, telemetry=None, spans=None) -> ScenarioResult:
+def run_scenario(
+    spec: ScenarioSpec, observers: Sequence[RunObserver] = ()
+) -> ScenarioResult:
     """One-shot convenience: run ``spec`` and return its result."""
-    return ScenarioRunner(spec, telemetry=telemetry, spans=spans).run()
+    return ScenarioRunner(spec, observers=observers).run()

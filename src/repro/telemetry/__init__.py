@@ -1,5 +1,11 @@
 """Opt-in observability: metrics registry + structured event streams.
 
+Runs are observed through one pipeline: the
+:class:`~repro.scenario.runner.ScenarioRunner` walks a list of
+:class:`RunObserver` hooks (:mod:`repro.telemetry.stream`, which also
+holds the JSONL stream format every recorder shares), and
+:func:`run_observers` builds the list for a telemetry directory.
+
 Two halves, both dependency-free and deterministic:
 
 * :mod:`repro.telemetry.metrics` — a process-local
@@ -28,6 +34,8 @@ cell digests are byte-identical with telemetry (and tracing) on or
 off (CI-gated).  See docs/observability.md.
 """
 
+from typing import List, Optional
+
 from repro.telemetry.events import (
     EVENT_KINDS,
     FAULT,
@@ -37,9 +45,7 @@ from repro.telemetry.events import (
     SLOT,
     SLOT_SERIES_KEYS,
     TELEMETRY_ENV_VAR,
-    TelemetryError,
     TelemetryRecorder,
-    discover_streams,
     parse_stream,
     stream_filename,
     telemetry_dir_from_env,
@@ -68,13 +74,21 @@ from repro.telemetry.spans import (
     TRACE_SAMPLE_ENV_VAR,
     SpanRecorder,
     block_sampled,
+    effective_trace_sample,
     is_trace_stream,
     parse_trace_stream,
+    schema_for,
     span_stream_digest,
     trace_sample_from_env,
     trace_stream_filename,
     validate_trace_record,
     validate_trace_stream,
+)
+from repro.telemetry.stream import (
+    RunObserver,
+    StreamSchema,
+    TelemetryError,
+    discover_streams,
 )
 from repro.telemetry.summarize import (
     export_prometheus,
@@ -108,11 +122,13 @@ __all__ = [
     "MetricsRegistry",
     "RUN_END",
     "RUN_START",
+    "RunObserver",
     "SCHEMA_VERSION",
     "SLOT",
     "SLOT_SERIES_KEYS",
     "SPAN_SCHEMA_VERSION",
     "SpanRecorder",
+    "StreamSchema",
     "TELEMETRY_ENV_VAR",
     "TRACE_SAMPLE_ENV_VAR",
     "TelemetryError",
@@ -121,6 +137,7 @@ __all__ = [
     "block_waterfall",
     "critical_path",
     "discover_streams",
+    "effective_trace_sample",
     "evaluate_monitors",
     "export_prometheus",
     "format_monitor_table",
@@ -133,6 +150,8 @@ __all__ = [
     "read_streams",
     "read_trace_streams",
     "registry_from_records",
+    "run_observers",
+    "schema_for",
     "span_stream_digest",
     "stream_filename",
     "summarize_records",
@@ -149,3 +168,17 @@ __all__ = [
     "waterfall_figure",
     "waterfall_svg",
 ]
+
+
+def run_observers(
+    telemetry_dir: Optional[str], trace_sample: Optional[float] = None
+) -> List[RunObserver]:
+    """The recorders for one run: none without a telemetry directory,
+    else a :class:`TelemetryRecorder`, plus a :class:`SpanRecorder`
+    when ``trace_sample`` is set."""
+    if not telemetry_dir:
+        return []
+    observers: List[RunObserver] = [TelemetryRecorder(telemetry_dir)]
+    if trace_sample is not None:
+        observers.append(SpanRecorder(telemetry_dir, sample=trace_sample))
+    return observers

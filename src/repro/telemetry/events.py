@@ -40,11 +40,16 @@ face CI uses.
 
 from __future__ import annotations
 
-import json
 import os
-import re
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Optional
+
+from repro.telemetry.stream import (  # noqa: F401  (re-exported API)
+    NUMBER,
+    StreamRecorder,
+    StreamSchema,
+    TelemetryError,
+    discover_streams,
+)
 
 #: The pinned stream schema version; every record carries it as ``v``.
 SCHEMA_VERSION = 1
@@ -66,8 +71,7 @@ SLOT_SERIES_KEYS = (
 )
 
 #: Required fields per event kind: name -> required python type(s).
-_NUMBER = (int, float)
-_FIELDS: Dict[str, Dict[str, tuple]] = {
+_FIELDS = {
     RUN_START: {
         "scenario": (str,),
         "backend": (str,),
@@ -78,7 +82,7 @@ _FIELDS: Dict[str, Dict[str, tuple]] = {
     SLOT: {
         "slot": (int,),
         "slots_covered": (int,),
-        "sim_now": _NUMBER,
+        "sim_now": NUMBER,
         "series": (dict,),
         "deltas": (dict,),
         "counters": (dict,),
@@ -91,18 +95,56 @@ _FIELDS: Dict[str, Dict[str, tuple]] = {
     },
     RUN_END: {
         "slot": (int,),
-        "sim_now": _NUMBER,
+        "sim_now": NUMBER,
         "blocks": (int,),
         "validations": (int,),
-        "success_rate": _NUMBER,
+        "success_rate": NUMBER,
         "events": (int,),
         "trace_sha256": (str,),
     },
 }
 
 
-class TelemetryError(ValueError):
-    """A telemetry record or stream that violates the pinned schema."""
+def _check_slot(record: Dict[str, Any], where: str) -> None:
+    """The ``slot`` record's series/counter mapping checks."""
+    if record["event"] != SLOT:
+        return
+    for mapping_field in ("series", "deltas"):
+        mapping = record[mapping_field]
+        if sorted(mapping) != sorted(SLOT_SERIES_KEYS):
+            raise TelemetryError(
+                f"{where}slot {mapping_field} must carry exactly "
+                f"{list(SLOT_SERIES_KEYS)}, got {sorted(mapping)}"
+            )
+    for mapping_field in ("series", "deltas", "counters", "counter_deltas"):
+        for key, value in record[mapping_field].items():
+            if not isinstance(value, NUMBER) or isinstance(value, bool):
+                raise TelemetryError(
+                    f"{where}slot {mapping_field}[{key!r}] must be "
+                    f"numeric, got {type(value).__name__}"
+                )
+    if sorted(record["counters"]) != sorted(record["counter_deltas"]):
+        raise TelemetryError(
+            f"{where}slot counters and counter_deltas must carry the "
+            f"same keys"
+        )
+
+
+#: The v1 per-slot stream format.
+EVENT_SCHEMA = StreamSchema(
+    version=SCHEMA_VERSION,
+    records=_FIELDS,
+    prefix="run",
+    label="telemetry",
+    version_noun="schema version",
+    kind_noun="event kind",
+    check_record=_check_slot,
+)
+
+validate_record = EVENT_SCHEMA.validate_record
+parse_stream = EVENT_SCHEMA.parse
+validate_stream = EVENT_SCHEMA.validate
+stream_filename = EVENT_SCHEMA.filename
 
 
 def telemetry_dir_from_env() -> Optional[str]:
@@ -111,162 +153,31 @@ def telemetry_dir_from_env() -> Optional[str]:
     return value or None
 
 
-def validate_record(record: Any, line: int = 0) -> None:
-    """Raise :class:`TelemetryError` unless ``record`` fits the schema."""
-    where = f"line {line}: " if line else ""
-    if not isinstance(record, dict):
-        raise TelemetryError(f"{where}record must be a JSON object")
-    version = record.get("v")
-    if version != SCHEMA_VERSION:
-        raise TelemetryError(
-            f"{where}schema version {version!r} is not the pinned "
-            f"{SCHEMA_VERSION}"
-        )
-    kind = record.get("event")
-    if kind not in _FIELDS:
-        raise TelemetryError(
-            f"{where}unknown event kind {kind!r}; known: "
-            f"{', '.join(EVENT_KINDS)}"
-        )
-    spec = _FIELDS[kind]
-    for field, types in spec.items():
-        if field not in record:
-            raise TelemetryError(f"{where}{kind} record lacks field {field!r}")
-        value = record[field]
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise TelemetryError(
-                f"{where}{kind} field {field!r} has type "
-                f"{type(value).__name__}, expected "
-                f"{'/'.join(t.__name__ for t in types)}"
-            )
-    unknown = set(record) - set(spec) - {"v", "event"}
-    if unknown:
-        raise TelemetryError(
-            f"{where}{kind} record carries unknown field(s): "
-            f"{', '.join(sorted(unknown))}"
-        )
-    if kind == SLOT:
-        for mapping_field in ("series", "deltas"):
-            mapping = record[mapping_field]
-            if sorted(mapping) != sorted(SLOT_SERIES_KEYS):
-                raise TelemetryError(
-                    f"{where}slot {mapping_field} must carry exactly "
-                    f"{list(SLOT_SERIES_KEYS)}, got {sorted(mapping)}"
-                )
-        for mapping_field in ("series", "deltas", "counters", "counter_deltas"):
-            for key, value in record[mapping_field].items():
-                if not isinstance(value, _NUMBER) or isinstance(value, bool):
-                    raise TelemetryError(
-                        f"{where}slot {mapping_field}[{key!r}] must be "
-                        f"numeric, got {type(value).__name__}"
-                    )
-        if sorted(record["counters"]) != sorted(record["counter_deltas"]):
-            raise TelemetryError(
-                f"{where}slot counters and counter_deltas must carry the "
-                f"same keys"
-            )
+class TelemetryRecorder(StreamRecorder):
+    """Write one run's per-slot event stream under a telemetry directory.
 
-
-def parse_stream(text: str, source: str = "<stream>") -> List[Dict[str, Any]]:
-    """Parse and validate one JSONL stream; raises on the first defect."""
-    records: List[Dict[str, Any]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            raise TelemetryError(
-                f"{source}: line {line_number}: not valid JSON ({error})"
-            )
-        try:
-            validate_record(record, line=line_number)
-        except TelemetryError as error:
-            raise TelemetryError(f"{source}: {error}")
-        records.append(record)
-    return records
-
-
-def validate_stream(text: str, source: str = "<stream>") -> List[str]:
-    """Every schema violation in ``text`` as messages (empty = clean)."""
-    errors: List[str] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            errors.append(f"{source}: line {line_number}: not valid JSON ({error})")
-            continue
-        try:
-            validate_record(record, line=line_number)
-        except TelemetryError as error:
-            errors.append(f"{source}: {error}")
-    return errors
-
-
-_UNSAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def stream_filename(scenario: str, backend: str, seed: int) -> str:
-    """The deterministic stream file name for one run."""
-    safe = _UNSAFE_NAME.sub("-", scenario) or "scenario"
-    return f"run-{safe}-{backend}-seed{seed}.jsonl"
-
-
-class TelemetryRecorder:
-    """Write one run's event stream under a telemetry directory.
-
-    The recorder is handed to a
-    :class:`~repro.scenario.runner.ScenarioRunner`; the runner calls
-    the ``run_started`` / ``slot_advanced`` / ``fault_applied`` /
-    ``run_finished`` hooks and the recorder does the bookkeeping
-    (per-record deltas, schema construction, JSONL writing).  Every
-    emitted record is validated against the pinned schema before it is
-    written, so a drifting instrumentation site fails loudly in tests
-    rather than silently corrupting streams.
-
-    Writes are plain appends of single lines (the journal idiom);
-    ``run_started`` truncates any previous stream of the same run name
-    so a re-run leaves a clean, byte-deterministic file.
+    A :class:`~repro.telemetry.stream.RunObserver`: each hook reads what
+    it needs from the backend (``sample()``, ``telemetry_counters()``,
+    ``current_time()``) and the recorder does the bookkeeping
+    (per-record deltas, schema construction, JSONL writing).
     """
 
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-        self.path: Optional[Path] = None
+    schema = EVENT_SCHEMA
+
+    def __init__(self, directory) -> None:
+        super().__init__(directory)
         self._last_series: Dict[str, float] = {}
         self._last_counters: Dict[str, float] = {}
-        self.records_written = 0
 
-    # -- plumbing ----------------------------------------------------------
-    def _write(self, record: Dict[str, Any]) -> None:
-        validate_record(record)
-        if self.path is None:
-            raise TelemetryError(
-                "telemetry stream not opened; run_started() must come first"
-            )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-        self.records_written += 1
+    def summary(self) -> str:
+        """One line naming the stream and its size."""
+        return f"telemetry stream: {self.path} ({self.records_written} record(s))"
 
-    # -- the runner-facing hooks -------------------------------------------
-    def run_started(self, spec) -> None:
+    def run_started(self, spec, backend) -> None:
         """Open the stream and emit the ``run-start`` record."""
-        self.path = self.directory / stream_filename(
-            spec.name, spec.backend, spec.seed
-        )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        self._open(spec)
         self._last_series = {}
         self._last_counters = {}
-        self.records_written = 0
         self._write({
             "v": SCHEMA_VERSION,
             "event": RUN_START,
@@ -277,17 +188,14 @@ class TelemetryRecorder:
             "seed": spec.seed,
         })
 
-    def slot_advanced(
-        self,
-        slot: int,
-        slots_covered: int,
-        sim_now: float,
-        series: Mapping[str, float],
-        counters: Mapping[str, float],
-    ) -> None:
+    def slot_advanced(self, slot: int, slots_covered: int, backend) -> None:
         """Emit one ``slot`` record (deltas computed vs the previous)."""
+        series = backend.sample()
         series_now = {key: float(series[key]) for key in SLOT_SERIES_KEYS}
-        counters_now = {key: float(value) for key, value in counters.items()}
+        counters_now = {
+            key: float(value)
+            for key, value in backend.telemetry_counters().items()
+        }
         deltas = {
             key: value - self._last_series.get(key, 0.0)
             for key, value in series_now.items()
@@ -301,7 +209,7 @@ class TelemetryRecorder:
             "event": SLOT,
             "slot": slot,
             "slots_covered": slots_covered,
-            "sim_now": float(sim_now),
+            "sim_now": float(backend.current_time()),
             "series": series_now,
             "deltas": deltas,
             "counters": counters_now,
@@ -310,7 +218,7 @@ class TelemetryRecorder:
         self._last_series = series_now
         self._last_counters = counters_now
 
-    def fault_applied(self, event, slot: int) -> None:
+    def fault_applied(self, event, slot: int, backend) -> None:
         """Emit one ``fault`` record for an applied timeline event."""
         self._write({
             "v": SCHEMA_VERSION,
@@ -320,45 +228,16 @@ class TelemetryRecorder:
             "detail": event.describe(),
         })
 
-    def run_finished(
-        self,
-        slot: int,
-        sim_now: float,
-        blocks: int,
-        validations: int,
-        success_rate: float,
-        events: int,
-        trace_sha256: str,
-    ) -> None:
+    def run_finished(self, result, backend) -> None:
         """Emit the terminal ``run-end`` record."""
         self._write({
             "v": SCHEMA_VERSION,
             "event": RUN_END,
-            "slot": slot,
-            "sim_now": float(sim_now),
-            "blocks": blocks,
-            "validations": validations,
-            "success_rate": float(success_rate),
-            "events": events,
-            "trace_sha256": trace_sha256,
+            "slot": result.spec.workload.slots,
+            "sim_now": float(result.sim_now),
+            "blocks": result.total_blocks,
+            "validations": result.validations,
+            "success_rate": float(result.success_rate),
+            "events": result.events,
+            "trace_sha256": result.trace_sha256,
         })
-
-
-def discover_streams(paths: Iterable[Union[str, Path]]) -> List[Path]:
-    """Stream files under ``paths`` (files verbatim, dirs globbed)."""
-    found: List[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            found.extend(sorted(path.glob("*.jsonl")))
-        elif path.is_file():
-            found.append(path)
-        else:
-            raise TelemetryError(f"no such telemetry file or directory: {raw}")
-    seen: set = set()
-    unique: List[Path] = []
-    for path in found:
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
-    return unique

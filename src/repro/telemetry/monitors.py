@@ -31,20 +31,15 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.metrics.reporting import format_table
-from repro.telemetry.events import (
-    RUN_START,
-    SLOT,
-    TelemetryError,
-    discover_streams,
-    parse_stream,
-)
+from repro.telemetry.events import RUN_START, SLOT
 from repro.telemetry.spans import (
     BLOCK_TRACE,
     TRACE_FAULT,
+    TRACE_SCHEMA,
     TRACE_START,
-    is_trace_stream,
-    parse_trace_stream,
+    schema_for,
 )
+from repro.telemetry.stream import TelemetryError, discover_streams
 
 #: The pinned monitors-document schema version.
 MONITOR_SCHEMA_VERSION = 1
@@ -263,27 +258,17 @@ def evaluate_monitors(paths: Iterable[Union[str, Path]]) -> Dict[str, Any]:
     v1_runs: Dict[Tuple[str, str, int], Dict[str, Any]] = {}
     trace_runs: Dict[Tuple[str, str, int], Dict[str, Any]] = {}
     for path in discover_streams(paths):
-        text = path.read_text(encoding="utf-8")
-        if is_trace_stream(path):
-            records = parse_trace_stream(text, source=str(path))
-            start = next(
-                (r for r in records if r.get("event") == TRACE_START), None
-            )
-            if start is None:
-                continue
-            trace_runs[(start["scenario"], start["backend"], start["seed"])] = {
-                "path": path, "records": records,
-            }
-        else:
-            records = parse_stream(text, source=str(path))
-            start = next(
-                (r for r in records if r.get("event") == RUN_START), None
-            )
-            if start is None:
-                continue
-            v1_runs[(start["scenario"], start["backend"], start["seed"])] = {
-                "path": path, "records": records,
-            }
+        schema = schema_for(path)
+        records = schema.parse(path.read_text(encoding="utf-8"), source=str(path))
+        is_trace = schema is TRACE_SCHEMA
+        start_kind = TRACE_START if is_trace else RUN_START
+        start = next((r for r in records if r.get("event") == start_kind), None)
+        if start is None:
+            continue
+        key = (start["scenario"], start["backend"], start["seed"])
+        (trace_runs if is_trace else v1_runs)[key] = {
+            "path": path, "records": records,
+        }
 
     runs: List[Dict[str, Any]] = []
     counts = {MONITOR_PASS: 0, MONITOR_FAIL: 0, MONITOR_SKIP: 0}

@@ -43,13 +43,20 @@ re-verifies, and the witness the determinism tests pin per backend.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.rng import derive_seed, derive_unit
-from repro.telemetry.events import _UNSAFE_NAME, TelemetryError
+from repro.telemetry.events import EVENT_SCHEMA
+from repro.telemetry.stream import (
+    NUMBER,
+    StreamRecorder,
+    StreamSchema,
+    TelemetryError,
+    canonical_line,
+    check_fields,
+)
 
 #: The pinned trace-stream schema version (v1 is the per-slot stream).
 SPAN_SCHEMA_VERSION = 2
@@ -82,8 +89,6 @@ PHASE_ORDER: Dict[str, Tuple[str, ...]] = {
 #: transaction confirmed (the tangle analogue of a commit quorum).
 IOTA_CONFIRM_WEIGHT = 3
 
-_NUMBER = (int, float)
-
 #: Required fields per record kind: name -> allowed python type(s).
 _TRACE_FIELDS: Dict[str, Dict[str, tuple]] = {
     TRACE_START: {
@@ -92,12 +97,12 @@ _TRACE_FIELDS: Dict[str, Dict[str, tuple]] = {
         "nodes": (int,),
         "slots": (int,),
         "seed": (int,),
-        "sample": _NUMBER,
+        "sample": NUMBER,
     },
     TRACE_FAULT: {
         "slot": (int,),
         "kind": (str,),
-        "time": _NUMBER,
+        "time": NUMBER,
         "nodes": (list,),
         "detail": (str,),
     },
@@ -119,16 +124,23 @@ _SPAN_KEYS: Dict[str, tuple] = {
     "phase": (str,),
     "node": (int,),
     "slot": (int,),
-    "start": _NUMBER,
-    "end": _NUMBER,
+    "start": NUMBER,
+    "end": NUMBER,
 }
 
 _FAULT_NOTE_KEYS: Dict[str, tuple] = {
     "slot": (int,),
     "kind": (str,),
-    "time": _NUMBER,
+    "time": NUMBER,
     "detail": (str,),
 }
+
+
+def effective_trace_sample(rate: Optional[float]) -> Optional[float]:
+    """The sample rate in effect: off (``None``) at or below 0, else ≤ 1.0."""
+    if rate is None or rate <= 0:
+        return None
+    return min(float(rate), 1.0)
 
 
 def trace_sample_from_env() -> Optional[float]:
@@ -143,9 +155,7 @@ def trace_sample_from_env() -> Optional[float]:
             f"${TRACE_SAMPLE_ENV_VAR} must be a sample rate in (0, 1], "
             f"got {raw!r}"
         )
-    if rate <= 0:
-        return None
-    return min(rate, 1.0)
+    return effective_trace_sample(rate)
 
 
 def block_sampled(master_seed: int, block_key: str, sample_rate: float) -> bool:
@@ -162,63 +172,24 @@ def block_sampled(master_seed: int, block_key: str, sample_rate: float) -> bool:
     return derive_unit(derive_seed(master_seed, "tracing"), block_key) < sample_rate
 
 
-def trace_stream_filename(scenario: str, backend: str, seed: int) -> str:
-    """The deterministic trace-stream file name for one run."""
-    safe = _UNSAFE_NAME.sub("-", scenario) or "scenario"
-    return f"trace-{safe}-{backend}-seed{seed}.jsonl"
-
-
-def is_trace_stream(path: Union[str, Path]) -> bool:
-    """Whether a stream file carries the v2 trace schema (by name)."""
-    name = Path(path).name
-    return name.startswith("trace-") and name.endswith(".jsonl")
-
-
-def _canonical_line(record: Dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def span_stream_digest(records: Iterable[Dict[str, Any]]) -> str:
     """Hex SHA-256 over the canonical lines of every non-terminal record.
 
     The witness ``trace-end.digest`` carries; determinism tests pin it
     per backend and CI diffs it across tracing-on/off runs.
     """
-    lines = [
-        _canonical_line(record)
+    return _lines_digest(
+        canonical_line(record)
         for record in records
         if record.get("event") != TRACE_END
-    ]
+    )
+
+
+def _lines_digest(lines: Iterable[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 # -- validation ----------------------------------------------------------------
-
-def _check_fields(
-    record: Dict[str, Any],
-    spec: Dict[str, tuple],
-    what: str,
-    where: str,
-    extra_ok: Iterable[str] = (),
-) -> None:
-    for name, types in spec.items():
-        if name not in record:
-            raise TelemetryError(f"{where}{what} lacks field {name!r}")
-        value = record[name]
-        bad_bool = isinstance(value, bool) and bool not in types
-        if not isinstance(value, types) or bad_bool:
-            raise TelemetryError(
-                f"{where}{what} field {name!r} has type "
-                f"{type(value).__name__}, expected "
-                f"{'/'.join(t.__name__ for t in types)}"
-            )
-    unknown = set(record) - set(spec) - set(extra_ok)
-    if unknown:
-        raise TelemetryError(
-            f"{where}{what} carries unknown field(s): "
-            f"{', '.join(sorted(unknown))}"
-        )
-
 
 def _check_detail(detail: Any, what: str, where: str) -> None:
     if not isinstance(detail, dict):
@@ -237,27 +208,9 @@ def _check_detail(detail: Any, what: str, where: str) -> None:
             )
 
 
-def validate_trace_record(record: Any, line: int = 0) -> None:
-    """Raise :class:`TelemetryError` unless ``record`` fits schema v2."""
-    where = f"line {line}: " if line else ""
-    if not isinstance(record, dict):
-        raise TelemetryError(f"{where}record must be a JSON object")
-    version = record.get("v")
-    if version != SPAN_SCHEMA_VERSION:
-        raise TelemetryError(
-            f"{where}trace schema version {version!r} is not the pinned "
-            f"{SPAN_SCHEMA_VERSION}"
-        )
-    kind = record.get("event")
-    if kind not in _TRACE_FIELDS:
-        raise TelemetryError(
-            f"{where}unknown trace record kind {kind!r}; known: "
-            f"{', '.join(TRACE_RECORD_KINDS)}"
-        )
-    _check_fields(
-        record, _TRACE_FIELDS[kind], f"{kind} record", where,
-        extra_ok=("v", "event"),
-    )
+def _check_trace_record(record: Dict[str, Any], where: str) -> None:
+    """Nested checks: fault node ids, block-trace spans and fault notes."""
+    kind = record["event"]
     if kind == TRACE_FAULT:
         for node in record["nodes"]:
             if not isinstance(node, int) or isinstance(node, bool):
@@ -269,7 +222,7 @@ def validate_trace_record(record: Any, line: int = 0) -> None:
             what = f"span[{index}]"
             if not isinstance(span, dict):
                 raise TelemetryError(f"{where}{what} must be an object")
-            _check_fields(span, _SPAN_KEYS, what, where, extra_ok=("detail",))
+            check_fields(span, _SPAN_KEYS, what, where, extra_ok=("detail",))
             if "detail" in span:
                 _check_detail(span["detail"], what, where)
             if span["end"] < span["start"]:
@@ -281,81 +234,57 @@ def validate_trace_record(record: Any, line: int = 0) -> None:
             what = f"fault-note[{index}]"
             if not isinstance(note, dict):
                 raise TelemetryError(f"{where}{what} must be an object")
-            _check_fields(note, _FAULT_NOTE_KEYS, what, where)
+            check_fields(note, _FAULT_NOTE_KEYS, what, where)
 
 
-def parse_trace_stream(
-    text: str, source: str = "<stream>"
-) -> List[Dict[str, Any]]:
-    """Parse + validate one trace stream; raises on the first defect.
+def _check_trace_end(records: List[Dict[str, Any]], source: str) -> None:
+    """Re-verify a terminal ``trace-end``: counts and stream digest.
 
-    Beyond per-record schema checks this verifies the stream's own
-    terminal checksum: ``trace-end`` must carry the block/span counts
-    and the :func:`span_stream_digest` of everything before it.
+    A stream still being recorded has no ``trace-end`` yet and passes;
+    completeness is certified only once the terminal record lands.
     """
-    records: List[Dict[str, Any]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            raise TelemetryError(
-                f"{source}: line {line_number}: not valid JSON ({error})"
-            )
-        try:
-            validate_trace_record(record, line=line_number)
-        except TelemetryError as error:
-            raise TelemetryError(f"{source}: {error}")
-        records.append(record)
-    if records and records[-1].get("event") == TRACE_END:
-        end = records[-1]
-        body = records[:-1]
-        blocks = sum(1 for r in body if r.get("event") == BLOCK_TRACE)
-        spans = sum(
-            len(r.get("spans", ())) for r in body
-            if r.get("event") == BLOCK_TRACE
+    if not records or records[-1].get("event") != TRACE_END:
+        return
+    end, body = records[-1], records[:-1]
+    traces = [r for r in body if r.get("event") == BLOCK_TRACE]
+    blocks = len(traces)
+    spans = sum(len(r["spans"]) for r in traces)
+    if (end["blocks"], end["spans"]) != (blocks, spans):
+        raise TelemetryError(
+            f"{source}: trace-end counts ({end['blocks']} blocks, "
+            f"{end['spans']} spans) disagree with the stream "
+            f"({blocks} blocks, {spans} spans)"
         )
-        digest = span_stream_digest(body)
-        if (end["blocks"], end["spans"]) != (blocks, spans):
-            raise TelemetryError(
-                f"{source}: trace-end counts ({end['blocks']} blocks, "
-                f"{end['spans']} spans) disagree with the stream "
-                f"({blocks} blocks, {spans} spans)"
-            )
-        if end["digest"] != digest:
-            raise TelemetryError(
-                f"{source}: trace-end digest {end['digest']} disagrees "
-                f"with the recomputed stream digest {digest}"
-            )
-    return records
+    digest = span_stream_digest(body)
+    if end["digest"] != digest:
+        raise TelemetryError(
+            f"{source}: trace-end digest {end['digest']} disagrees "
+            f"with the recomputed stream digest {digest}"
+        )
 
 
-def validate_trace_stream(text: str, source: str = "<stream>") -> List[str]:
-    """Every schema violation in ``text`` as messages (empty = clean)."""
-    errors: List[str] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            errors.append(
-                f"{source}: line {line_number}: not valid JSON ({error})"
-            )
-            continue
-        try:
-            validate_trace_record(record, line=line_number)
-        except TelemetryError as error:
-            errors.append(f"{source}: {error}")
-    if not errors:
-        try:
-            parse_trace_stream(text, source=source)
-        except TelemetryError as error:
-            errors.append(str(error))
-    return errors
+#: The v2 block-trace stream format.
+TRACE_SCHEMA = StreamSchema(
+    version=SPAN_SCHEMA_VERSION,
+    records=_TRACE_FIELDS,
+    prefix="trace",
+    label="trace",
+    version_noun="trace schema version",
+    kind_noun="trace record kind",
+    check_record=_check_trace_record,
+    check_stream=_check_trace_end,
+)
+
+validate_trace_record = TRACE_SCHEMA.validate_record
+parse_trace_stream = TRACE_SCHEMA.parse
+validate_trace_stream = TRACE_SCHEMA.validate
+trace_stream_filename = TRACE_SCHEMA.filename
+is_trace_stream = TRACE_SCHEMA.owns
+
+
+def schema_for(path: Union[str, Path]) -> StreamSchema:
+    """The schema a stream file carries: v2 for ``trace-*``, else v1."""
+    return TRACE_SCHEMA if is_trace_stream(path) else EVENT_SCHEMA
 
 
 # -- collection ----------------------------------------------------------------
@@ -398,10 +327,11 @@ class SpanCollector:
         self._sampled: Dict[str, bool] = {}
 
     # -- wiring ------------------------------------------------------------
-    def attach(self, tracer) -> None:
+    def attach(self, tracer) -> "SpanCollector":
         """Subscribe to the deployment tracer's lifecycle categories."""
         for prefix in self.categories:
             tracer.subscribe(prefix, self._on_trace)
+        return self
 
     def _on_trace(self, record) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -483,18 +413,15 @@ class SpanCollector:
         for trace in self._traces.values():
             events = sorted(trace.events, key=lambda item: item[0])
             spans: List[Dict[str, Any]] = []
-            for index, (time, phase, node, slot, start, detail) in enumerate(
-                events
-            ):
+            # Time-sorted, so every earlier event ended no later than
+            # this one: the latest end per phase rank is all we need.
+            latest: Dict[int, float] = {}
+            for time, phase, node, slot, start, detail in events:
+                rank = order.get(phase, len(order))
                 if start is None:
-                    rank = order.get(phase, len(order))
-                    predecessors = [
-                        other_time
-                        for other_time, other_phase, *_ in events[:index]
-                        if (order.get(other_phase, len(order)) < rank
-                            and other_time <= time)
-                    ]
-                    start = max(predecessors) if predecessors else time
+                    earlier = [t for r, t in latest.items() if r < rank]
+                    start = max(earlier) if earlier else time
+                latest[rank] = time
                 span = {
                     "phase": phase,
                     "node": node,
@@ -540,9 +467,9 @@ class DagSpanCollector(SpanCollector):
         #: site for the unsampled majority.
         self._digest_to_key: Dict[bytes, str] = {}
 
-    def attach(self, tracer) -> None:
-        super().attach(tracer)
+    def attach(self, tracer) -> "DagSpanCollector":
         tracer.set_interest("block.digest_received", self._digest_to_key)
+        return super().attach(tracer)
 
     def _on_trace(self, record) -> None:
         # Branch order follows emission frequency: digest receipts
@@ -720,56 +647,45 @@ class IotaSpanCollector(SpanCollector):
 
 # -- recording -----------------------------------------------------------------
 
-class SpanRecorder:
+class SpanRecorder(StreamRecorder):
     """Write one run's trace stream under a telemetry directory.
 
-    The runner-facing twin of
-    :class:`~repro.telemetry.events.TelemetryRecorder`: the
-    :class:`~repro.scenario.runner.ScenarioRunner` calls
-    ``run_started`` / ``fault_applied`` / ``run_finished`` and the
-    recorder validates + appends JSONL records.  ``run_started``
-    truncates any previous stream of the same run name so re-runs are
-    byte-deterministic.
+    A :class:`~repro.telemetry.stream.RunObserver`: ``run_started``
+    asks the backend for an attached span collector
+    (``backend.span_collector(sample)``), ``fault_applied`` annotates
+    the open traces through it and records the fault, and
+    ``run_finished`` drains it into ``block-trace`` records plus the
+    self-certifying ``trace-end``.
     """
+
+    schema = TRACE_SCHEMA
 
     def __init__(
         self,
         directory: Union[str, Path],
         sample: float = DEFAULT_TRACE_SAMPLE,
     ) -> None:
-        self.directory = Path(directory)
+        super().__init__(directory)
         self.sample = float(sample)
-        self.path: Optional[Path] = None
-        self.records_written = 0
         self.blocks_traced = 0
-        self._body: List[Dict[str, Any]] = []
+        self._collector: Optional[SpanCollector] = None
+        self._lines: List[str] = []
 
-    def _write(self, record: Dict[str, Any]) -> None:
-        validate_trace_record(record)
-        if self.path is None:
-            raise TelemetryError(
-                "trace stream not opened; run_started() must come first"
-            )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(_canonical_line(record) + "\n")
-        if record["event"] != TRACE_END:
-            self._body.append(record)
-        self.records_written += 1
-
-    # -- the runner-facing hooks -------------------------------------------
-    def run_started(self, spec) -> None:
-        """Open the stream and emit the ``trace-start`` record."""
-        self.path = self.directory / trace_stream_filename(
-            spec.name, spec.backend, spec.seed
+    def summary(self) -> str:
+        """One line naming the stream and how many blocks it traced."""
+        return (
+            f"trace stream: {self.path} ({self.blocks_traced} block(s) "
+            f"traced at sample {self.sample:g})"
         )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-        self._body = []
-        self.records_written = 0
+
+    def _write(self, *records: Dict[str, Any]) -> None:
+        self._lines.extend(super()._write(*records))
+
+    def run_started(self, spec, backend) -> None:
+        """Attach the collector; emit the ``trace-start`` record."""
+        self._open(spec)
+        self._lines = []
+        self._collector = backend.span_collector(self.sample)
         self._write({
             "v": SPAN_SCHEMA_VERSION,
             "event": TRACE_START,
@@ -781,8 +697,10 @@ class SpanRecorder:
             "sample": self.sample,
         })
 
-    def fault_applied(self, event, slot: int, time: float) -> None:
-        """Emit one stream-level ``fault`` record (structured nodes)."""
+    def fault_applied(self, event, slot: int, backend) -> None:
+        """Annotate open traces; emit a ``fault`` record (structured nodes)."""
+        time = backend.current_time()
+        self._collector.fault_applied(event, slot, time)
         self._write({
             "v": SPAN_SCHEMA_VERSION,
             "event": TRACE_FAULT,
@@ -793,33 +711,17 @@ class SpanRecorder:
             "detail": event.describe(),
         })
 
-    def run_finished(self, block_traces: List[Dict[str, Any]]) -> None:
-        """Emit every ``block-trace`` and the terminal ``trace-end``.
-
-        Batched into one append (hundreds of traces land at once), with
-        every record still schema-validated before it is written.
-        """
-        if self.path is None:
-            raise TelemetryError(
-                "trace stream not opened; run_started() must come first"
-            )
-        spans = 0
-        lines: List[str] = []
-        for record in block_traces:
-            validate_trace_record(record)
-            lines.append(_canonical_line(record))
-            self._body.append(record)
-            spans += len(record["spans"])
-        self.blocks_traced = len(block_traces)
-        terminal = {
+    def run_finished(self, result, backend) -> None:
+        """Emit every ``block-trace`` and the terminal ``trace-end``."""
+        self._require_open()
+        traces = self._collector.block_traces()
+        self.blocks_traced = len(traces)
+        self._write(*traces)
+        self._write({
             "v": SPAN_SCHEMA_VERSION,
             "event": TRACE_END,
-            "blocks": len(block_traces),
-            "spans": spans,
-            "digest": span_stream_digest(self._body),
-        }
-        validate_trace_record(terminal)
-        lines.append(_canonical_line(terminal))
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        self.records_written += len(lines)
+            "blocks": len(traces),
+            "spans": sum(len(trace["spans"]) for trace in traces),
+            # span_stream_digest, over the lines already encoded above.
+            "digest": _lines_digest(self._lines),
+        })

@@ -46,7 +46,7 @@ class TestNoOpContract:
     def test_trace_identical_with_and_without_telemetry(self, backend, tmp_path):
         bare = run_scenario(tiny_spec(backend))
         recorder = TelemetryRecorder(tmp_path)
-        observed = run_scenario(tiny_spec(backend), telemetry=recorder)
+        observed = run_scenario(tiny_spec(backend), observers=[recorder])
         assert bare.trace_sha256 == observed.trace_sha256
         assert bare.total_blocks == observed.total_blocks
 
@@ -55,15 +55,15 @@ class TestNoOpContract:
         bare = run_scenario(tiny_spec(backend, with_faults=True))
         recorder = TelemetryRecorder(tmp_path)
         observed = run_scenario(
-            tiny_spec(backend, with_faults=True), telemetry=recorder
+            tiny_spec(backend, with_faults=True), observers=[recorder]
         )
         assert bare.trace_sha256 == observed.trace_sha256
 
     def test_repeat_recording_is_byte_identical(self, tmp_path):
         first = TelemetryRecorder(tmp_path / "a")
         second = TelemetryRecorder(tmp_path / "b")
-        run_scenario(tiny_spec(with_faults=True), telemetry=first)
-        run_scenario(tiny_spec(with_faults=True), telemetry=second)
+        run_scenario(tiny_spec(with_faults=True), observers=[first])
+        run_scenario(tiny_spec(with_faults=True), observers=[second])
         assert first.path.read_bytes() == second.path.read_bytes()
 
 
@@ -71,7 +71,7 @@ class TestStreamContents:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stream_fits_schema_and_mirrors_result(self, backend, tmp_path):
         recorder = TelemetryRecorder(tmp_path)
-        result = run_scenario(tiny_spec(backend), telemetry=recorder)
+        result = run_scenario(tiny_spec(backend), observers=[recorder])
         records = parse_stream(recorder.path.read_text())
 
         kinds = [r["event"] for r in records]
@@ -95,7 +95,7 @@ class TestStreamContents:
     def test_fault_records_follow_the_applied_timeline(self, tmp_path):
         recorder = TelemetryRecorder(tmp_path)
         runner = ScenarioRunner(
-            tiny_spec(with_faults=True), telemetry=recorder
+            tiny_spec(with_faults=True), observers=[recorder]
         )
         runner.run()
         records = parse_stream(recorder.path.read_text())
@@ -107,7 +107,7 @@ class TestStreamContents:
     def test_timestamps_are_slot_time(self, tmp_path):
         """sim_now is the simulated clock — machine-speed independent."""
         recorder = TelemetryRecorder(tmp_path)
-        result = run_scenario(tiny_spec(), telemetry=recorder)
+        result = run_scenario(tiny_spec(), observers=[recorder])
         records = parse_stream(recorder.path.read_text())
         stamps = [r["sim_now"] for r in records if "sim_now" in r]
         assert stamps == sorted(stamps)

@@ -1,11 +1,13 @@
 """Telemetry event streams: recorder, pinned schema, discovery."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.telemetry import (
     SCHEMA_VERSION,
+    SpanRecorder,
     TelemetryError,
     TelemetryRecorder,
     discover_streams,
@@ -109,31 +111,69 @@ class TestStreamValidation:
         assert len(parse_stream(text)) == 1
 
 
+class StubBackend:
+    """Scripted answers to the pure reads a recorder makes."""
+
+    def __init__(self, now=0.0, series=None, counters=None):
+        self.now = now
+        self.series = series or {}
+        self.counters = counters or {}
+
+    def sample(self):
+        return dict(self.series)
+
+    def telemetry_counters(self):
+        return dict(self.counters)
+
+    def current_time(self):
+        return self.now
+
+
+def stub_result(spec, **fields):
+    values = dict(
+        spec=spec, sim_now=1.0, total_blocks=1, validations=0,
+        success_rate=1.0, events=1, trace_sha256="aa",
+    )
+    values.update(fields)
+    return SimpleNamespace(**values)
+
+
 class TestRecorder:
-    def test_hooks_before_run_started_raise(self, tmp_path):
-        recorder = TelemetryRecorder(tmp_path)
+    @pytest.mark.parametrize(
+        "recorder_cls", (TelemetryRecorder, SpanRecorder),
+        ids=lambda cls: cls.__name__,
+    )
+    def test_hooks_before_run_started_raise(self, recorder_cls, tmp_path):
+        from repro.scenario import get_scenario
+
+        recorder = recorder_cls(tmp_path)
+        result = stub_result(get_scenario("quickstart"))
         with pytest.raises(TelemetryError, match="run_started"):
-            recorder.run_finished(1, 1.0, 1, 0, 1.0, 1, "deadbeef")
+            recorder.run_finished(result, StubBackend())
 
     def test_run_writes_validated_jsonl(self, tmp_path):
         from repro.scenario import get_scenario
 
         spec = get_scenario("quickstart")
         recorder = TelemetryRecorder(tmp_path)
-        recorder.run_started(spec)
-        recorder.slot_advanced(
-            4, 4, 4.0,
+        recorder.run_started(spec, StubBackend())
+        recorder.slot_advanced(4, 4, StubBackend(
+            4.0,
             {"storage_mb": 1.0, "traffic_mbit": 0.5,
              "traffic_dag_mbit": 0.4, "traffic_pop_mbit": 0.1},
             {"blocks": 8},
-        )
-        recorder.slot_advanced(
-            8, 4, 8.0,
+        ))
+        recorder.slot_advanced(8, 4, StubBackend(
+            8.0,
             {"storage_mb": 3.0, "traffic_mbit": 1.0,
              "traffic_dag_mbit": 0.8, "traffic_pop_mbit": 0.2},
             {"blocks": 20},
+        ))
+        recorder.run_finished(
+            stub_result(spec, sim_now=8.0, total_blocks=20, events=100,
+                        trace_sha256="cafe"),
+            StubBackend(8.0),
         )
-        recorder.run_finished(8, 8.0, 20, 0, 1.0, 100, "cafe")
 
         assert recorder.path == tmp_path / stream_filename(
             spec.name, spec.backend, spec.seed
@@ -152,11 +192,11 @@ class TestRecorder:
 
         spec = get_scenario("quickstart")
         recorder = TelemetryRecorder(tmp_path)
-        recorder.run_started(spec)
-        recorder.run_finished(1, 1.0, 1, 0, 1.0, 1, "aa")
+        recorder.run_started(spec, StubBackend())
+        recorder.run_finished(stub_result(spec), StubBackend())
         first = recorder.path.read_text()
-        recorder.run_started(spec)
-        recorder.run_finished(1, 1.0, 1, 0, 1.0, 1, "aa")
+        recorder.run_started(spec, StubBackend())
+        recorder.run_finished(stub_result(spec), StubBackend())
         assert recorder.path.read_text() == first
 
 

@@ -190,8 +190,10 @@ class TestEvaluateEndToEnd:
         for backend in ("2ldag", "pbft", "iota"):
             run_scenario(
                 tiny_spec(backend, with_faults=True),
-                telemetry=TelemetryRecorder(directory),
-                spans=SpanRecorder(directory, sample=1.0),
+                observers=[
+                    TelemetryRecorder(directory),
+                    SpanRecorder(directory, sample=1.0),
+                ],
             )
         return evaluate_monitors([directory])
 
@@ -226,7 +228,7 @@ class TestEvaluateEndToEnd:
 
     def test_trace_only_run_skips_slot_probes(self, tmp_path):
         spans = SpanRecorder(tmp_path, sample=1.0)
-        run_scenario(tiny_spec("2ldag"), spans=spans)
+        run_scenario(tiny_spec("2ldag"), observers=[spans])
         document = evaluate_monitors([tmp_path])
         (run,) = document["runs"]
         statuses = {v["id"]: v["status"] for v in run["monitors"]}

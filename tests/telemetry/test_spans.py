@@ -25,10 +25,13 @@ from repro.telemetry.spans import (
     DEFAULT_TRACE_SAMPLE,
     SPAN_SCHEMA_VERSION,
     TRACE_SAMPLE_ENV_VAR,
+    TRACE_SCHEMA,
     SpanRecorder,
     block_sampled,
+    effective_trace_sample,
     is_trace_stream,
     parse_trace_stream,
+    schema_for,
     trace_sample_from_env,
     trace_stream_filename,
     validate_trace_stream,
@@ -71,7 +74,9 @@ def tiny_spec(backend="2ldag", with_faults=False, **overrides):
 
 def record_trace(tmp_path, backend, with_faults=False, sample=1.0):
     spans = SpanRecorder(tmp_path, sample=sample)
-    result = run_scenario(tiny_spec(backend, with_faults=with_faults), spans=spans)
+    result = run_scenario(
+        tiny_spec(backend, with_faults=with_faults), observers=[spans]
+    )
     return spans, result
 
 
@@ -164,6 +169,14 @@ class TestStreamSchema:
         assert spans.path.name == trace_stream_filename("span-tiny", "pbft", 4)
         assert not is_trace_stream(tmp_path / "run-span-tiny-pbft-seed4.jsonl")
 
+    def test_schema_for_partitions_by_name(self, tmp_path):
+        from repro.telemetry.events import EVENT_SCHEMA
+
+        spans, _ = record_trace(tmp_path, "pbft")
+        assert schema_for(spans.path) is TRACE_SCHEMA
+        assert schema_for(tmp_path / "run-span-tiny-pbft-seed4.jsonl") is EVENT_SCHEMA
+        assert schema_for(tmp_path / "other.jsonl") is EVENT_SCHEMA
+
 
 class TestSampling:
     def test_block_sampled_is_deterministic_and_monotone(self):
@@ -199,6 +212,14 @@ class TestSampling:
         with pytest.raises(TelemetryError):
             trace_sample_from_env()
 
+    def test_effective_sample_rule(self):
+        """One rule for flags and env: <= 0 is off, rates clamp to 1.0."""
+        assert effective_trace_sample(None) is None
+        assert effective_trace_sample(0) is None
+        assert effective_trace_sample(-0.5) is None
+        assert effective_trace_sample(0.5) == 0.5
+        assert effective_trace_sample(7) == 1.0
+
     def test_default_sample_is_a_quarter(self):
         assert DEFAULT_TRACE_SAMPLE == 0.25
 
@@ -210,7 +231,7 @@ class TestEmissionCost:
 
         spec = tiny_spec("2ldag")
         spans = SpanRecorder(tmp_path, sample=0.25)
-        runner = ScenarioRunner(spec, spans=spans).build()
+        runner = ScenarioRunner(spec, observers=[spans]).build()
         tracer = runner.deployment.network.tracer
         receipts = []
         tracer.subscribe("block.digest_received", receipts.append)

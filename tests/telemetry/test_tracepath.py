@@ -32,7 +32,7 @@ def traced_dir(tmp_path_factory):
 
     directory = tmp_path_factory.mktemp("traces")
     spans = SpanRecorder(directory, sample=1.0)
-    run_scenario(tiny_spec("2ldag", with_faults=True), spans=spans)
+    run_scenario(tiny_spec("2ldag", with_faults=True), observers=[spans])
     return directory
 
 
