@@ -15,6 +15,8 @@ regression coverage, so don't):
                            every push/validate re-digests old headers)
 ``header_references``      Δ membership test (child-of check)
 ``header_verify_signature`` Eq. (6) check over the signing payload
+``header_authenticate``    Eq. (6) signature + Eq. (5) nonce check, the
+                           per-reply header authentication of PoP
 ``wire_encode_header``     wire-format serialization
 ``wps_select``             Algorithm 1 on a 50-node geometric topology
 ``kernel_callbacks``       schedule+dispatch of one-shot callbacks
@@ -47,6 +49,7 @@ TRACKED_OPS = (
     "header_digest_warm",
     "header_references",
     "header_verify_signature",
+    "header_authenticate",
     "wire_encode_header",
     "wps_select",
     "kernel_callbacks",
@@ -65,6 +68,8 @@ BASELINE_RELPATH = os.path.join("benchmarks", "baselines", "BENCH_baseline.json"
 #: cold-path benchmarks; absent attributes are ignored, so this list
 #: also works against builds without identity caching).
 _HEADER_CACHE_ATTRS = (
+    "_hdr_block_id",
+    "_hdr_digest_map_bytes",
     "_hdr_signing_payload",
     "_hdr_encoded",
     "_hdr_digest_by_bits",
@@ -195,6 +200,7 @@ def _micro_benchmarks(
     from repro.core.dag import LogicalDag
     from repro.core.pop.wps import weighted_path_selection
     from repro.crypto.hashing import hash_bytes
+    from repro.crypto.puzzle import NoncePuzzle
     from repro.net.topology import sequential_geometric_topology
     from repro.sim.kernel import Simulator
     from repro.sim.rng import RandomStreams
@@ -206,10 +212,12 @@ def _micro_benchmarks(
 
     if wanted(
         "header_encode_warm", "header_digest_cold", "header_digest_warm",
-        "header_references", "header_verify_signature", "wire_encode_header",
+        "header_references", "header_verify_signature", "header_authenticate",
+        "wire_encode_header",
     ):
         pool_size = 16 if fast else 64
-        headers, keypair, _config = _build_header_pool(pool_size, 8)
+        headers, keypair, config = _build_header_pool(pool_size, 8)
+        puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
         hit = next(iter(headers[0].digests.values()))
         miss = hash_bytes(b"not-a-parent")
 
@@ -242,6 +250,13 @@ def _micro_benchmarks(
                 header.verify_signature(public)
             return len(headers)
 
+        def header_authenticate() -> int:
+            public = keypair.public
+            for header in headers:
+                header.verify_signature(public)
+                header.verify_nonce(puzzle)
+            return len(headers)
+
         def wire_encode_header() -> int:
             for header in headers:
                 wire.encode_header(header)
@@ -253,6 +268,7 @@ def _micro_benchmarks(
             ("header_digest_warm", header_digest_warm),
             ("header_references", header_references),
             ("header_verify_signature", header_verify_signature),
+            ("header_authenticate", header_authenticate),
             ("wire_encode_header", wire_encode_header),
         ]
 

@@ -16,7 +16,7 @@ generate at irregular times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from repro.core import codec
 from repro.core.config import ProtocolConfig
@@ -133,16 +133,25 @@ class BlockHeader:
     # -- identity -------------------------------------------------------------
     @property
     def block_id(self) -> BlockId:
-        """(origin, index)."""
-        return BlockId(self.origin, self.index)
+        """(origin, index); memoised."""
+        block_id = self.__dict__.get("_hdr_block_id")
+        if block_id is None:
+            block_id = BlockId(self.origin, self.index)
+            object.__setattr__(self, "_hdr_block_id", block_id)
+        return block_id
 
     # -- canonical encodings ------------------------------------------------
-    def _digest_bytes_map(self) -> Dict[int, bytes]:
-        return {node: digest.value for node, digest in self.digests.items()}
+    def _digest_map_bytes(self) -> bytes:
+        """Canonical encoding of Δ (shared by Eq. 5 and Eq. 6); memoised."""
+        encoded = self.__dict__.get("_hdr_digest_map_bytes")
+        if encoded is None:
+            encoded = _encode_digests(self.digests)
+            object.__setattr__(self, "_hdr_digest_map_bytes", encoded)
+        return encoded
 
     def puzzle_fields(self) -> List[bytes]:
         """The fields hashed by the Eq. (5) nonce puzzle: root and Δ."""
-        return [self.root.value, codec.encode_digest_map(self._digest_bytes_map())]
+        return [self.root.value, self._digest_map_bytes()]
 
     def signing_payload(self) -> bytes:
         """Canonical bytes covered by the signature (Eq. 6); memoised."""
@@ -153,7 +162,7 @@ class BlockHeader:
                     ("version", codec.encode_u32(self.version)),
                     ("time", codec.encode_time(self.time)),
                     ("root", self.root.value),
-                    ("digests", codec.encode_digest_map(self._digest_bytes_map())),
+                    ("digests", self._digest_map_bytes()),
                     ("nonce", codec.encode_u64(self.nonce)),
                 ]
             )
@@ -282,8 +291,8 @@ def build_block(
         puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
     root = body.root(config.hash_bits)
     digest_map = dict(digests)
-    puzzle_fields = [root.value, codec.encode_digest_map({n: d.value for n, d in digest_map.items()})]
-    solution = puzzle.solve(puzzle_fields)
+    digest_map_bytes = _encode_digests(digest_map)
+    solution = puzzle.solve([root.value, digest_map_bytes])
     unsigned = BlockHeader(
         origin=origin,
         index=index,
@@ -294,6 +303,7 @@ def build_block(
         nonce=solution.nonce,
         signature=b"",
     )
+    object.__setattr__(unsigned, "_hdr_digest_map_bytes", digest_map_bytes)
     payload = unsigned.signing_payload()
     signature = sign(payload, keypair)
     header = BlockHeader(
@@ -306,10 +316,17 @@ def build_block(
         nonce=solution.nonce,
         signature=signature,
     )
-    # The signature does not cover itself, so the signed header's
-    # payload is byte-identical to the unsigned one — warm its cache.
+    # The signature does not cover itself, so the signed header's Δ
+    # encoding and payload are byte-identical to the unsigned one's —
+    # warm its caches.
+    object.__setattr__(header, "_hdr_digest_map_bytes", digest_map_bytes)
     object.__setattr__(header, "_hdr_signing_payload", payload)
     return DataBlock(header=header, body=body)
+
+
+def _encode_digests(digests: Mapping[int, Digest]) -> bytes:
+    """``codec.encode_digest_map`` over a Δ of :class:`Digest` values."""
+    return codec.encode_digest_map({node: d.value for node, d in digests.items()})
 
 
 def make_body(origin: int, index: int, config: ProtocolConfig, salt: bytes = b"") -> BlockBody:

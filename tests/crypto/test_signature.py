@@ -1,5 +1,7 @@
 """Unit tests for the simulated signature scheme."""
 
+import pytest
+
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.signature import sign, verify
 
@@ -37,6 +39,40 @@ class TestSignVerify:
 
     def test_seed_changes_keys(self):
         assert KeyPair.generate(3, seed=1) != KeyPair.generate(3, seed=2)
+
+
+class TestVerifyTagComparison:
+    """Only the exact 32-byte tag verifies; every other tag is rejected."""
+
+    @pytest.fixture
+    def pair(self):
+        return KeyPair.generate(11)
+
+    @pytest.fixture
+    def tag(self, pair):
+        return sign(b"payload", pair)
+
+    def test_valid_tag_passes(self, pair, tag):
+        assert len(tag) == 32
+        assert verify(b"payload", tag, pair.public)
+
+    @pytest.mark.parametrize("position", [0, 15, 31])
+    @pytest.mark.parametrize("bit", [0, 7])
+    def test_one_bit_flip_rejected(self, pair, tag, position, bit):
+        flipped = bytearray(tag)
+        flipped[position] ^= 1 << bit
+        assert not verify(b"payload", bytes(flipped), pair.public)
+
+    def test_truncated_tag_rejected(self, pair, tag):
+        assert not verify(b"payload", tag[:16], pair.public)
+        assert not verify(b"payload", b"", pair.public)
+
+    def test_over_long_tag_rejected(self, pair, tag):
+        assert not verify(b"payload", tag + b"\x00", pair.public)
+        assert not verify(b"payload", tag + tag, pair.public)
+
+    def test_unregistered_public_key_rejected(self, tag):
+        assert not verify(b"payload", tag, KeyPair.generate(12, seed=99).public)
 
 
 class TestRegistry:
