@@ -21,6 +21,9 @@ regression coverage, so don't):
 ``wps_select``             Algorithm 1 on a 50-node geometric topology
 ``kernel_callbacks``       schedule+dispatch of one-shot callbacks
 ``kernel_cancel_churn``    cancelled-event pops (lazy cancellation)
+``message_push``           one digest push to every neighbour plus its
+                           drain, per delivered message, on a 160-node
+                           geometric topology with honest node handlers
 ``dag_insert_chain``       LogicalDag insertion of a 200-header chain
 ``slot_sim``               the macro workload (wall seconds, events/s,
                            blocks/s and a canonical trace digest)
@@ -54,6 +57,7 @@ TRACKED_OPS = (
     "wps_select",
     "kernel_callbacks",
     "kernel_cancel_churn",
+    "message_push",
     "dag_insert_chain",
     "slot_sim",
     "slot_sim_faults",
@@ -161,6 +165,25 @@ def _build_header_pool(count: int, digests_per_header: int):
         )
         headers.append(block.header)
     return headers, keypair, config
+
+
+def _build_push_deployment():
+    """Honest 160-node deployment: its simulator and nodes, no blocks yet."""
+    from repro.core.config import ProtocolConfig
+    from repro.core.node import IoTNode
+    from repro.crypto.keys import KeyRegistry
+    from repro.net.topology import sequential_geometric_topology
+    from repro.net.transport import Network
+    from repro.sim.kernel import Simulator
+    from repro.sim.rng import RandomStreams
+
+    topology = sequential_geometric_topology(node_count=160, streams=RandomStreams(1))
+    sim = Simulator()
+    network = Network(sim, topology)
+    registry = KeyRegistry()
+    config = ProtocolConfig()
+    nodes = [IoTNode(i, network, registry, config) for i in topology.node_ids]
+    return sim, nodes, config
 
 
 def _build_chain_headers(length: int):
@@ -320,6 +343,23 @@ def _micro_benchmarks(
 
         benchmarks.append(("kernel_callbacks", kernel_callbacks))
         benchmarks.append(("kernel_cancel_churn", kernel_cancel_churn))
+
+    if wanted("message_push"):
+        push_sim, push_nodes, push_config = _build_push_deployment()
+        push_senders = push_nodes[::16 if fast else 4]
+        push_digest = hash_bytes(b"message-push")
+        push_bits = push_config.digest_message_bits
+
+        def message_push() -> int:
+            delivered = 0
+            for node in push_senders:
+                delivered += len(node.interface.broadcast_neighbors(
+                    "digest", (node.node_id, push_digest), push_bits
+                ))
+            push_sim.run()
+            return delivered
+
+        benchmarks.append(("message_push", message_push))
 
     if wanted("dag_insert_chain"):
         chain = _build_chain_headers(50 if fast else 200)

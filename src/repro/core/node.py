@@ -104,6 +104,9 @@ class IoTNode:
         self.node_id = node_id
         self.network = network
         self.topology = network.topology
+        # N(i), bound once: the topology is immutable and a node never
+        # swaps it, so every delivered digest skips the lookup.
+        self._neighbor_set: FrozenSet[int] = self.topology.neighbors(node_id)
         self.registry = registry
         self.config = config
         self.behavior = behavior if behavior is not None else NodeBehavior()
@@ -135,7 +138,7 @@ class IoTNode:
     @property
     def neighbors(self) -> FrozenSet[int]:
         """``N(i)``: the shared topology's frozen neighbour set."""
-        return self.topology.neighbors(self.node_id)
+        return self._neighbor_set
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<IoTNode {self.node_id} blocks={len(self.store)}>"
@@ -214,7 +217,7 @@ class IoTNode:
         if not self.behavior.should_process_digest(self, message):
             return
         sender, digest = message.payload
-        if sender != message.sender or sender not in self.neighbors:
+        if sender != message.sender or sender not in self._neighbor_set:
             # Digests only flow over physical edges; anything else is
             # spoofed and discarded (§IV-D-5).
             return

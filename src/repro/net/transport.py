@@ -76,10 +76,7 @@ class NodeInterface:
     # -- sending -----------------------------------------------------------
     def send(self, recipient: int, kind: str, payload: Any, size_bits: int) -> Message:
         """Unicast to ``recipient`` over the shortest route."""
-        message = Message(
-            sender=self.node_id, recipient=recipient, kind=kind,
-            payload=payload, size_bits=size_bits,
-        )
+        message = Message(self.node_id, recipient, kind, payload, size_bits)
         self.network.unicast(message)
         return message
 
@@ -232,21 +229,20 @@ class Network:
                 kind, self.category_fn(kind), sender, neighbors, size_bits
             )
         sim = self.sim
+        call_at = sim.call_at
         deliver = self._deliver
+        modelled = self.latency_model is not None
         arrival = sim.now + self.per_hop_latency
         messages = []
         for neighbor in neighbors:
-            message = Message(
-                sender=sender, recipient=neighbor, kind=kind,
-                payload=payload, size_bits=size_bits,
-            )
+            message = Message(sender, neighbor, kind, payload, size_bits)
             messages.append(message)
             if per_hop:
                 self.unicast(message)
                 continue
-            if self.latency_model is not None:
+            if modelled:
                 arrival = sim.now + self._latency((sender, neighbor), size_bits)
-            sim.call_at(arrival, partial(deliver, message))
+            call_at(arrival, partial(deliver, message))
         return messages
 
     def unicast(self, message: Message) -> None:

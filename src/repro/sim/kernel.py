@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.errors import EventStateError, SchedulingError, SimulationError
@@ -306,9 +307,9 @@ class Simulator:
     def _discard_cancelled(self) -> None:
         """Drop cancelled entries from the heap top (lazy cancellation).
 
-        The single place cancelled pops happen: ``peek`` and ``step``
-        both call this, so neither re-checks entries the other already
-        discarded, and every discard is counted once in
+        ``peek`` and ``step`` both call this, so neither re-checks
+        entries the other already discarded; :meth:`run` inlines the
+        same discard.  Every discard is counted once in
         :attr:`cancelled_count`.
         """
         heap = self._heap
@@ -345,22 +346,38 @@ class Simulator:
         max_events:
             Safety budget on the number of processed events — useful in
             tests to catch livelocks.
+
+        Notes
+        -----
+        The loop is :meth:`peek` followed by :meth:`step`, inlined: it
+        discards cancelled heap tops, checks ``until``, pops and
+        dispatches with the same accounting and the same order, without
+        two method calls and two discard passes per event.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
+        heap = self._heap
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
         processed = 0
         try:
-            while True:
-                next_time = self.peek()
-                if next_time is None:
+            while heap:
+                entry = heap[0]
+                event = entry[3]
+                if event._cancelled:
+                    heappop(heap)
+                    self._cancelled_count += 1
+                    continue
+                time = entry[0]
+                if time > horizon:
                     break
-                if until is not None and next_time > until:
-                    if until > self._now:
-                        self._now = float(until)
-                    break
-                if not self.step():
-                    break
+                heappop(heap)
+                if time < self._now:
+                    raise SimulationError("event heap corrupted: time moved backwards")
+                self._now = time
+                event._process()
+                self._processed_count += 1
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     raise SimulationError(f"max_events budget of {max_events} exhausted")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.errors import StopProcess
+from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 
 
@@ -181,3 +182,112 @@ class TestInterrupt:
         sim.run()
         process.interrupt()
         assert process.value == "done"
+
+
+class SendThrowOnly:
+    """A generator wrapper exposing only ``send`` and ``throw``.
+
+    The shape of the benchmark's traced PoP generators: a process must
+    drive whatever it is given through these two methods alone.
+    """
+
+    __slots__ = ("_gen", "calls")
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.calls = []
+
+    def send(self, value):
+        self.calls.append("send")
+        return self._gen.send(value)
+
+    def throw(self, exc):
+        self.calls.append("throw")
+        return self._gen.throw(exc)
+
+
+def bare(gen):
+    return gen
+
+
+class TestSendThrowDriver:
+    """Wrapped and bare generators are driven to the same result."""
+
+    @staticmethod
+    def drive(sim, make_worker, wrap, interrupt_at=None):
+        trace = []
+        process = sim.process(wrap(make_worker(sim, trace)))
+        if interrupt_at is not None:
+            sim.call_at(interrupt_at, lambda: process.interrupt("stop"))
+        sim.run()
+        return trace, process.ok, process.value, sim.now, sim.processed_count
+
+    @staticmethod
+    def failed_event_worker(sim, trace):
+        event = sim.event()
+        event.fail(RuntimeError("boom"), delay=1.0)
+        try:
+            yield event
+        except RuntimeError as exc:
+            trace.append(("caught", str(exc), sim.now))
+        value = yield sim.timeout(1.0, value="after")
+        trace.append((value, sim.now))
+        return "recovered"
+
+    @staticmethod
+    def processed_event_worker(sim, trace):
+        early = sim.timeout(1.0, value="early")
+        failed = sim.event()
+        failed.fail(ValueError("late failure"), delay=2.0)
+        yield sim.timeout(5.0)
+        value = yield early  # already processed: resumed through a relay
+        trace.append((value, sim.now))
+        try:
+            yield failed  # already processed and failed
+        except ValueError as exc:
+            trace.append(("caught", str(exc), sim.now))
+        return "relayed"
+
+    @staticmethod
+    def interrupted_worker(sim, trace):
+        try:
+            yield sim.timeout(10.0)
+            trace.append("never")
+        except StopProcess as stop:
+            trace.append(("stopped", str(stop), sim.now))
+            raise
+
+    @pytest.mark.parametrize(
+        "worker, interrupt_at, expected_value",
+        [
+            ("failed_event_worker", None, "recovered"),
+            ("processed_event_worker", None, "relayed"),
+            ("interrupted_worker", 3.0, None),
+        ],
+    )
+    def test_wrapped_matches_bare(self, worker, interrupt_at, expected_value):
+        make_worker = getattr(self, worker)
+        outcomes = []
+        for wrap in (bare, SendThrowOnly):
+            sim = Simulator()
+            outcomes.append(self.drive(sim, make_worker, wrap, interrupt_at))
+        assert outcomes[0] == outcomes[1]
+        trace, ok, value, _now, _count = outcomes[0]
+        assert trace
+        assert ok
+        assert value == expected_value
+
+    def test_wrapper_sees_sends_and_throws(self, sim):
+        wrapped = SendThrowOnly(self.processed_event_worker(sim, []))
+        sim.process(wrapped)
+        sim.run()
+        # Bootstrap send, the 5.0 wait, the relayed value, the relayed failure.
+        assert wrapped.calls == ["send", "send", "send", "throw"]
+
+    def test_interrupt_throws_through_the_wrapper(self, sim):
+        wrapped = SendThrowOnly(self.interrupted_worker(sim, []))
+        process = sim.process(wrapped)
+        sim.call_at(3.0, lambda: process.interrupt("stop"))
+        sim.run()
+        assert wrapped.calls == ["send", "throw"]
+        assert process.triggered
